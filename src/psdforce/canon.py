@@ -6,6 +6,16 @@ by their refinement signature, which is invariant under relabeling), and the
 label is the lexicographically least adjacency bit string over the
 refinement-consistent permutations.  Two graphs of order <= CANON_MAX_N get
 equal labels iff they are isomorphic.
+
+Enumeration grows each class of order n-1 by one new vertex and keeps the
+canonical labels of the children.  Most children are rejected before they are
+labelled, by canonical deletion (B. D. McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998): a child is kept only if its new vertex
+minimises the vertex invariant (degree, sorted neighbour degrees), compared as
+a tuple.  This loses no class, because every graph has a vertex of minimal
+key, deleting it leaves a listed parent, and the key does not depend on the
+labelling.  The dedupe by canonical label remains, since children of
+different parents, or with tied keys, can still be isomorphic.
 """
 
 from __future__ import annotations
@@ -19,6 +29,17 @@ CANON_MAX_N = 10
 ENUM_MAX_N = 8
 
 
+def _sorted_nbr_values(row: int, values: list[int]) -> list[int]:
+    """values[u] for every vertex u in the bitmask row, sorted."""
+    out = []
+    while row:
+        low = row & -row
+        row ^= low
+        out.append(values[low.bit_length() - 1])
+    out.sort()
+    return out
+
+
 def _refine_cells(g: Graph) -> list[list[int]]:
     """Partition vertices by iterated neighbor-color refinement.
 
@@ -30,16 +51,7 @@ def _refine_cells(g: Graph) -> list[list[int]]:
     ranks = sorted(set(colors))
     colors = [ranks.index(c) for c in colors]
     while True:
-        keys = []
-        for v in range(n):
-            nbr = []
-            row = g.adj[v]
-            while row:
-                low = row & -row
-                row ^= low
-                nbr.append(colors[low.bit_length() - 1])
-            nbr.sort()
-            keys.append((colors[v], tuple(nbr)))
+        keys = [(colors[v], tuple(_sorted_nbr_values(g.adj[v], colors))) for v in range(n)]
         uniq = sorted(set(keys))
         new = [uniq.index(k) for k in keys]
         if len(uniq) == len(set(colors)):
@@ -143,24 +155,51 @@ def canonical_label(g: Graph, max_n: int | None = None) -> str:
 # enumeration
 
 
+def _new_vertex_has_min_key(rows: list[int]) -> bool:
+    """Whether no vertex has a smaller (degree, sorted neighbour degrees) key
+    than the last one."""
+    deg = [row.bit_count() for row in rows]
+    last = len(rows) - 1
+    d = deg[last]
+    if min(deg) < d:
+        return False
+    key = _sorted_nbr_values(rows[last], deg)
+    return all(
+        _sorted_nbr_values(rows[v], deg) >= key for v in range(last) if deg[v] == d
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _iso_classes(n: int) -> tuple[str, ...]:
-    # Grow order n from order n-1 by attaching a new vertex with every
-    # possible neighborhood, then dedupe by canonical label.  Every class on
-    # n vertices arises: delete the last vertex of any representative.
+    # Grow order n from order n-1 by attaching a new vertex, then dedupe by
+    # canonical label.  A child is labelled only if its new vertex minimises
+    # the invariant key (degree, sorted neighbour degrees).  Completeness:
+    # every order-n graph G has a vertex v of minimal key; G - v is
+    # isomorphic to a listed parent P, and the child of P built from the
+    # image of N(v) is isomorphic to G with the new vertex in v's place, so
+    # its key is minimal too and the child is kept.
     if n == 1:
         return (write_graph6(Graph(1)),)
+    new = n - 1
     out: set[str] = set()
     for lab in _iso_classes(n - 1):
-        g = parse_graph6(lab)
-        rows = list(g.adj) + [0]
-        for nbhd in range(1 << (n - 1)):
-            rows[n - 1] = nbhd
-            grown = Graph._from_rows(
-                [row | ((nbhd >> v & 1) << (n - 1)) for v, row in enumerate(rows[:-1])]
-                + [nbhd]
-            )
-            out.add(canonical_label(grown))
+        adj = parse_graph6(lab).adj
+        # at_deg[k]: parent vertices of degree k.  A new vertex of degree d
+        # is not beaten on degree alone iff no parent vertex has degree
+        # below d - 1 and every parent vertex of degree d - 1 is adjacent
+        # to it.
+        at_deg = [0] * n
+        for v, row in enumerate(adj):
+            at_deg[row.bit_count()] |= 1 << v
+        max_d = min(row.bit_count() for row in adj) + 1
+        for nbhd in range(1 << new):
+            d = nbhd.bit_count()
+            if d > max_d or (d and at_deg[d - 1] & ~nbhd):
+                continue
+            rows = [row | (nbhd >> v & 1) << new for v, row in enumerate(adj)]
+            rows.append(nbhd)
+            if _new_vertex_has_min_key(rows):
+                out.add(canonical_label(Graph._from_rows(rows)))
     return tuple(sorted(out))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -75,6 +76,17 @@ def _add_caps(p: argparse.ArgumentParser) -> None:
                    help="override the exact-search order cap")
     p.add_argument("--max-subsets", type=int, default=None, metavar="M",
                    help="override the subset-scan cap")
+
+
+def _job_count(text: str) -> int:
+    """--jobs value: at least 1, at most the number of CPUs."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:
@@ -413,14 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog of graphs with pt+ = n - k (1..4)")
     p.add_argument("--zeta", type=int, nargs=2, default=None,
                    metavar=("N", "K"), help="max pt+ over order-N graphs with Z+ = K")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="worker processes (clamped to the CPU count)")
     p.add_argument("--checkpoint", metavar="DIR", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_extremal)
 
     p = sub.add_parser("ng", help="graph-plus-complement time sums for one order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="worker processes (clamped to the CPU count)")
     p.add_argument("--checkpoint", metavar="DIR", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_ng)

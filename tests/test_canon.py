@@ -6,10 +6,12 @@ import pytest
 
 from psdforce import (
     Graph,
+    canon,
     canonical_form,
     canonical_label,
     enumerate_graphs,
     parse_graph6,
+    write_graph6,
 )
 from psdforce.families import cycle, path
 
@@ -63,6 +65,45 @@ def test_class_counts(classes_by_order):
         1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156,
     }
     assert sum(1 for _ in enumerate_graphs(7)) == 1044
+
+
+def _grow_all_neighbourhoods(parents, n):
+    # reference: attach a new vertex with every neighbourhood, no pruning
+    out = set()
+    for lab in parents:
+        adj = parse_graph6(lab).adj
+        for nbhd in range(1 << (n - 1)):
+            rows = [row | (nbhd >> v & 1) << (n - 1) for v, row in enumerate(adj)]
+            out.add(canonical_label(Graph._from_rows(rows + [nbhd])))
+    return tuple(sorted(out))
+
+
+def test_pruned_enumeration_matches_brute_force():
+    ref = (write_graph6(Graph(1)),)
+    assert canon._iso_classes(1) == ref
+    for n in range(2, 8):
+        ref = _grow_all_neighbourhoods(ref, n)
+        assert canon._iso_classes(n) == ref
+    # OEIS A000088
+    assert [len(canon._iso_classes(n)) for n in range(1, 9)] == [
+        1, 2, 4, 11, 34, 156, 1044, 12346,
+    ]
+
+
+def test_enumeration_labels_few_children(monkeypatch):
+    calls = 0
+    label = canon.canonical_label
+
+    def counted(g, max_n=None):
+        nonlocal calls
+        calls += 1
+        return label(g, max_n)
+
+    canon._iso_classes.cache_clear()
+    monkeypatch.setattr(canon, "canonical_label", counted)
+    assert len(canon._iso_classes(7)) == 1044
+    # all-neighbourhood growth labels 11,290 children for orders 1..7
+    assert calls <= 2376
 
 
 def test_connected_class_counts():

@@ -2,11 +2,12 @@
 
 import io
 import json
+import os
 import sys
 
 import pytest
 
-from psdforce.cli import main
+from psdforce.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -198,6 +199,21 @@ def test_ng_json(capsys):
         '{"n":4,"histogram":{"1":2,"2":8,"4":1},"max_sum":4,'
         '"threshold":4,"attained":true,"attaining":["CL"]}\n'
     )
+
+
+def test_jobs_rejected_below_one_and_clamped(capsys, monkeypatch):
+    # parsing fails or clamps before any worker pool could start
+    for cmd in (["extremal", "--k", "1"], ["ng", "--n", "3"]):
+        for bad in ("0", "-2", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(cmd + ["--jobs", bad])
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert build_parser().parse_args(["ng", "--n", "3", "--jobs", "64"]).jobs == 3
+    assert build_parser().parse_args(["extremal", "--k", "1", "--jobs", "2"]).jobs == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["ng", "--n", "3", "--jobs", "8"]).jobs == 1
 
 
 def test_verify_bounds_table(capsys):
