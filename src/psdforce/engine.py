@@ -9,6 +9,19 @@ the round count of a successful run is the propagation time of B.
 A set that never stalls is a forcing set.  There is no numeric sentinel for
 "never finishes": failed runs are reported as such, and the size-k optimum
 raises :class:`NoForcingSetError` when no size-k forcing set exists.
+
+Every exact optimum rests on one size-k scan, ``_scan_size_k``, whose result
+is memoised on the :class:`Graph` object it was asked about (the private
+``_scans`` slot).  Z+, pt+, pt+(G, k) and throttling on one object therefore
+scan each size once between them; an equal but distinct object starts
+empty.  The public entry points check their caps before they consult the
+memo, so a warm memo never lets a capped call through.
+
+Per-component times need no induced subgraph.  For a forcing set B and a
+component C of G - B, run the rule in G from V - C: C is the only white
+component, and every blue vertex outside C ∪ B lies in another component
+of G - B, so it has no neighbour in C and forces nothing.  Each round then
+forces exactly what B forces inside G[C ∪ B], and the times agree.
 """
 
 from __future__ import annotations
@@ -18,6 +31,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+# induced_subgraph is unused here, but perfbench/tracing.py MANIFEST lists
+# engine as one of its importers and fails on a missing binding.
 from .graph import Graph, as_mask, components, induced_subgraph, vlist
 
 # Subset scans are exponential; these caps keep desk-scale calls honest and
@@ -90,49 +105,54 @@ class PropagationSchedule:
 # core rule
 
 
-def _white_components(adj: tuple[int, ...], white: int) -> list[tuple[int, int]]:
-    """Components of the white subgraph as (component_mask, neighbor_union)."""
-    comps = []
-    rem = white
+def _force_round(adj: tuple[int, ...], blue: int, full: int) -> int:
+    """Mask of every vertex forceable in one synchronous step.
+
+    Walks the white components one at a time; a blue neighbour u of a
+    component C forces the single vertex of adj[u] & C when there is one
+    (never none: u has a neighbour in C).
+    """
+    forced = 0
+    rem = full & ~blue
     while rem:
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
+        comp = frontier = rem & -rem
+        rem ^= comp
         nbrs = 0
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
                 nxt |= adj[low.bit_length() - 1]
             nbrs |= nxt
-            frontier = nxt & rem & ~comp
+            frontier = nxt & rem
+            rem ^= frontier
             comp |= frontier
-        comps.append((comp, nbrs))
-        rem &= ~comp
-    return comps
-
-
-def _force_round(adj: tuple[int, ...], blue: int, full: int) -> int:
-    """Mask of every vertex forceable in one synchronous step."""
-    forced = 0
-    for comp, nbrs in _white_components(adj, full & ~blue):
         bm = blue & nbrs
         while bm:
             low = bm & -bm
             bm ^= low
             x = adj[low.bit_length() - 1] & comp
-            if x and not x & (x - 1):
+            if not x & (x - 1):
                 forced |= x
     return forced
 
 
-def _pt_mask(adj: tuple[int, ...], n: int, blue: int) -> int | None:
-    """Propagation time of a blue mask, or None if it is not a forcing set."""
+def _pt_mask(
+    adj: tuple[int, ...], n: int, blue: int, limit: int | None = None
+) -> int | None:
+    """Propagation time of a blue mask, or None if it is not a forcing set.
+
+    With ``limit``, also None when the set needs more than ``limit`` rounds.
+    Without it the limit is n, which no forcing set reaches.
+    """
     full = (1 << n) - 1
+    if limit is None:
+        limit = n
     t = 0
     while blue != full:
+        if t == limit:
+            return None
         f = _force_round(adj, blue, full)
         if not f:
             return None
@@ -150,14 +170,28 @@ def forceable(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
     mask = as_mask(g, blue)
     adj = g.adj
     pairs = []
-    for comp, nbrs in _white_components(adj, g.full_mask & ~mask):
+    rem = g.full_mask & ~mask
+    while rem:
+        comp = frontier = rem & -rem
+        rem ^= comp
+        nbrs = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
+            nbrs |= nxt
+            frontier = nxt & rem
+            rem ^= frontier
+            comp |= frontier
         bm = mask & nbrs
         while bm:
             low = bm & -bm
             bm ^= low
             u = low.bit_length() - 1
             x = adj[u] & comp
-            if x and not x & (x - 1):
+            if not x & (x - 1):
                 pairs.append((u, x.bit_length() - 1))
     pairs.sort(key=lambda p: (p[1], p[0]))
     return pairs
@@ -248,32 +282,36 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
     """Best (pt, witness_mask) over size-k blue sets, or None if none forces.
 
     The witness is the lexicographically least minimizer (as a sorted vertex
-    tuple).  Isolated vertices can never be forced, so only supersets of
-    them are scanned.
+    tuple).  ``combinations`` yields the free vertices' subsets in that order,
+    and adding the isolated set to all of them keeps it (for equal-size sets
+    the least vertex of the symmetric difference decides).  So the scan keeps
+    the first strict improvement: after a forcing set of time t, later sets
+    are propagated for at most t - 1 rounds, and a time of 1 ends the scan
+    (only the full set is faster).  Isolated vertices can never be forced,
+    so only supersets of them are scanned.  The result is memoised on ``g``.
     """
+    memo = g._scans
+    if memo is None:
+        memo = g._scans = {}
+    elif k in memo:
+        return memo[k]
     adj, n = g.adj, g.n
     iso = _isolated_mask(g)
     niso = iso.bit_count()
-    if k < niso:
-        return None
-    free = [v for v in range(n) if not iso >> v & 1]
-    best: tuple[int, tuple[int, ...]] | None = None
-    for extra in combinations(free, k - niso):
-        mask = iso
-        for v in extra:
-            mask |= 1 << v
-        pt = _pt_mask(adj, n, mask)
-        if pt is None:
-            continue
-        key = (pt, tuple(vlist(mask)))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    witness = 0
-    for v in best[1]:
-        witness |= 1 << v
-    return best[0], witness
+    best: tuple[int, int] | None = None
+    if k >= niso:
+        bits = [1 << v for v in range(n) if not iso >> v & 1]
+        limit = None
+        for extra in combinations(bits, k - niso):
+            mask = iso + sum(extra)
+            pt = _pt_mask(adj, n, mask, limit)
+            if pt is not None:
+                best = (pt, mask)
+                if pt <= 1:  # only the full set is faster, and it has size n
+                    break
+                limit = pt - 1
+    memo[k] = best
+    return best
 
 
 def _z_and_pt(g: Graph) -> tuple[int, int, int]:
@@ -344,18 +382,13 @@ def component_pt(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
     whole-graph time equals the max of the per-component times.
     """
     mask = as_mask(g, blue)
-    if _pt_mask(g.adj, g.n, mask) is None:
+    adj, n = g.adj, g.n
+    if _pt_mask(adj, n, mask) is None:
         raise NotForcingError("blue set does not force the graph")
     out = []
     for comp in components(g, mask):
-        sub, remap = induced_subgraph(g, comp | mask)
-        sub_blue = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            sub_blue |= 1 << remap[low.bit_length() - 1]
-        pt = _pt_mask(sub.adj, sub.n, sub_blue)
+        # same rounds as B inside G[comp + B]: see the module docstring
+        pt = _pt_mask(adj, n, g.full_mask & ~comp)
         assert pt is not None, "a forcing set forces every component"
         out.append((comp, pt))
     return out

@@ -28,9 +28,11 @@ class Graph:
 
     Adjacency is one bitmask per vertex: bit v of ``adj[u]`` is set iff uv is
     an edge.  Loops and multi-edges are rejected at construction.
+    ``_scans`` is the engine's per-object memo of size-k scans (None until
+    the first scan); it is not part of the graph's value.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_scans")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -45,6 +47,7 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.adj = tuple(rows)
+        self._scans = None
 
     @classmethod
     def _from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -53,6 +56,7 @@ class Graph:
         g = object.__new__(cls)
         g.adj = tuple(rows)
         g.n = len(g.adj)
+        g._scans = None
         return g
 
     @property

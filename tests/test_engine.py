@@ -4,6 +4,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdforce import (
     CapExceededError,
@@ -21,9 +23,12 @@ from psdforce import (
     vlist,
     vset,
 )
+from psdforce import engine
+from psdforce.extremal import throttling_number
 from psdforce.families import complete, cycle, empty_graph, path
+from psdforce.graph import Graph
 
-from _oracles import ref_first_forces, ref_pt, ref_z_and_pt
+from _oracles import ref_components, ref_first_forces, ref_pt, ref_z_and_pt
 
 
 def _adj(g):
@@ -195,21 +200,32 @@ def test_superset_monotonicity(classes_by_order):
 
 
 def test_component_times_split(classes_by_order):
-    # whole-graph time is the max over per-component times
+    # each component's time is B's time inside G[C + B], and the whole-graph
+    # time is the max over components
     for n, labels in classes_by_order.items():
         for lab in labels:
             g = parse_graph6(lab)
+            adj = _adj(g)
             for size in range(1, min(3, n) + 1):
                 for sub in combinations(range(n), size):
                     blue = vset(sub)
                     if not is_psd_forcing_set(g, blue):
                         continue
                     parts = component_pt(g, blue)
+                    white = set(range(n)) - set(sub)
+                    assert sorted(vlist(c) for c, _ in parts) == sorted(
+                        sorted(c) for c in ref_components(adj, white)
+                    )
+                    for comp, t in parts:
+                        keep = sorted(set(vlist(comp)) | set(sub))
+                        idx = {v: i for i, v in enumerate(keep)}
+                        sub_adj = {
+                            idx[v]: {idx[w] for w in adj[v] if w in idx} for v in keep
+                        }
+                        ref = ref_pt(sub_adj, len(keep), {idx[v] for v in sub})
+                        assert t == ref, (lab, sub, vlist(comp))
                     whole = propagate(g, blue).steps
-                    if parts:
-                        assert max(t for _, t in parts) == whole
-                    else:
-                        assert whole == 0
+                    assert max([t for _, t in parts], default=0) == whole
 
 
 def test_component_pt_rejects_non_forcing():
@@ -240,3 +256,102 @@ def test_caps_are_reported():
     # explicit override lifts the order cap
     z, _ = psd_zero_forcing_number(path(13), max_n=13)
     assert z == 1
+
+
+# ---------------------------------------------------------------------------
+# exactness beyond the enumerated orders
+
+
+@st.composite
+def _random_graphs(draw):
+    # edge density 1/2, 1/4 or 1/8: the sparse draws bring isolated vertices
+    n = draw(st.integers(7, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = -1
+    for _ in range(draw(st.integers(1, 3))):
+        bits &= draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_graphs())
+def test_engine_matches_reference_orders_7_to_9(g):
+    n, adj = g.n, _adj(g)
+    z, pt = ref_z_and_pt(adj, n)
+    got_z, z_witness = psd_zero_forcing_number(g)
+    got_pt, pt_witness = pt_plus(g)
+    assert (got_z, got_pt) == (z, pt)
+    assert len(vlist(z_witness)) == z == len(vlist(pt_witness))
+    assert ref_pt(adj, n, vlist(pt_witness)) == pt
+    for k in range(n + 1):
+        # the first minimiser in combinations order is the least sorted tuple
+        best = None
+        for sub in combinations(range(n), k):
+            t = ref_pt(adj, n, sub)
+            if t is not None and (best is None or t < best[0]):
+                best = (t, vset(sub))
+        if best is None:
+            with pytest.raises(NoForcingSetError):
+                pt_plus_k(g, k)
+        else:
+            assert pt_plus_k(g, k) == best, k
+
+
+# ---------------------------------------------------------------------------
+# the per-graph scan memo
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Blue masks handed to the engine's propagation-time routine."""
+    masks = []
+    real = engine._pt_mask
+
+    def counting(adj, n, blue, limit=None):
+        masks.append(blue)
+        return real(adj, n, blue, limit)
+
+    monkeypatch.setattr(engine, "_pt_mask", counting)
+    return masks
+
+
+def test_memo_serves_pt_plus_after_z(scanned):
+    g = cycle(9)
+    psd_zero_forcing_number(g)
+    assert scanned
+    scanned.clear()
+    assert pt_plus(g)[0] == 2
+    assert scanned == []
+
+
+def test_memo_throttling_scans_only_larger_sets(scanned):
+    g = path(9)
+    z, _ = psd_zero_forcing_number(g)
+    pt_plus(g)
+    scanned.clear()
+    throttling_number(g)
+    assert scanned
+    assert all(m.bit_count() > z for m in scanned)
+
+
+def test_memo_is_per_object(scanned):
+    g = cycle(8)
+    first = pt_plus(g)
+    scanned.clear()
+    twin = Graph(g.n, g.edges())
+    assert twin == g and twin is not g
+    assert pt_plus(twin) == first
+    assert scanned
+
+
+def test_caps_hold_with_warm_memo():
+    g = path(12)
+    pt_plus_k(g, 6)
+    with pytest.raises(CapExceededError):
+        pt_plus_k(g, 6, max_subsets=100)
+    big = path(13)
+    psd_zero_forcing_number(big, max_n=13)
+    with pytest.raises(CapExceededError):
+        psd_zero_forcing_number(big)
+    with pytest.raises(CapExceededError):
+        pt_plus(big)

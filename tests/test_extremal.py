@@ -181,3 +181,9 @@ def test_checkpoint_ignores_garbage(tmp_path):
     with open(os.path.join(ck, "invariants.n1.jsonl"), "w", encoding="utf-8") as fh:
         fh.write("not json\n")
     assert invariant_table(1, checkpoint_dir=ck) == clean
+
+
+def test_pool_matches_serial():
+    # jobs=2 fans the labels of each order out to a Pool; results keep order
+    assert invariant_table(6, jobs=2) == invariant_table(6)
+    assert ng_search(6, jobs=2) == ng_search(6)
