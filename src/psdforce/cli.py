@@ -16,6 +16,7 @@ import sys
 import time
 
 from .engine import (
+    DEFAULT_MAX_SUBSETS,
     CapExceededError,
     NoForcingSetError,
     component_pt,
@@ -59,7 +60,8 @@ def _jline(obj) -> str:
 # input plumbing
 
 
-def _add_source(p: argparse.ArgumentParser, *, families_only: bool = False) -> None:
+def _add_io(p: argparse.ArgumentParser, *, families_only: bool = False) -> None:
+    """The one graph source, and --json."""
     src = p.add_mutually_exclusive_group(required=True)
     if not families_only:
         src.add_argument("--g6", metavar="STR", help="one graph6 string")
@@ -68,14 +70,13 @@ def _add_source(p: argparse.ArgumentParser, *, families_only: bool = False) -> N
         )
     src.add_argument("--family", metavar="SPEC", help="family spec, e.g. path:5 or lollipop:6,5")
     src.add_argument("--fixture", choices=sorted(FIXTURES), help="named example graph")
+    p.add_argument("--json", action="store_true", help="JSON lines instead of text")
 
 
-def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="JSON lines instead of a table")
-    p.add_argument("--max-n", type=int, default=None, metavar="N",
-                   help="override the exact-search order cap")
+def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-subsets", type=int, default=None, metavar="M",
-                   help="override the subset-scan cap")
+                   help="most sets one exact search may propagate "
+                        f"(default {DEFAULT_MAX_SUBSETS:,}); over it, the graph is skipped")
 
 
 def _job_count(text: str) -> int:
@@ -173,8 +174,8 @@ def cmd_compute(args) -> int:
     skipped = 0
     for label, g, _names in _load_inputs(args):
         try:
-            z, _ = psd_zero_forcing_number(g, max_n=args.max_n)
-            pt, witness = pt_plus(g, max_n=args.max_n)
+            z, _ = psd_zero_forcing_number(g, max_subsets=args.max_subsets)
+            pt, witness = pt_plus(g, max_subsets=args.max_subsets)
             row: dict = {"g6": label, "n": g.n, "z+": z, "pt+": pt,
                          "witness": vlist(witness)}
             if args.throttle:
@@ -346,7 +347,7 @@ def cmd_verify_bounds(args) -> int:
     violations = 0
     for label, g, _names in _load_inputs(args):
         try:
-            z, _ = psd_zero_forcing_number(g, max_n=args.max_n)
+            z, _ = psd_zero_forcing_number(g, max_subsets=args.max_subsets)
             bad = []
             tight = []
             for k in range(z, g.n + 1):
@@ -391,33 +392,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="Z+, pt+, and optionally th+ per graph")
-    _add_source(p)
-    _add_caps(p)
+    _add_io(p)
+    _add_budget(p)
     p.add_argument("--throttle", action="store_true", help="also compute th+")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("simulate", help="run the propagation from a blue set")
-    _add_source(p)
-    _add_caps(p)
+    _add_io(p)
     p.add_argument("--blue", required=True, metavar="SET",
                    help="comma-separated vertex ids or fixture names")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("migrate1", help="shrink the largest white component")
-    _add_source(p)
-    _add_caps(p)
+    _add_io(p)
     p.add_argument("--blue", required=True, metavar="SET")
     p.set_defaults(fn=lambda a: cmd_migrate(a, 1))
 
     p = sub.add_parser("migrate2", help="balance per-component times")
-    _add_source(p)
-    _add_caps(p)
+    _add_io(p)
     p.add_argument("--blue", required=True, metavar="SET")
     p.set_defaults(fn=lambda a: cmd_migrate(a, 2))
 
     p = sub.add_parser("family", help="emit a family graph and its name map")
-    _add_source(p, families_only=True)
-    p.add_argument("--json", action="store_true")
+    _add_io(p, families_only=True)
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("extremal", help="slow-propagation catalogs and zeta")
@@ -441,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bounds",
                        help="check pt+(G,k) <= ceil((n-k)/2) over a corpus")
-    _add_source(p)
-    _add_caps(p)
+    _add_io(p)
+    _add_budget(p)
     p.set_defaults(fn=cmd_verify_bounds)
 
     return top

@@ -14,8 +14,15 @@ Every exact optimum rests on one size-k scan, ``_scan_size_k``, whose result
 is memoised on the :class:`Graph` object it was asked about (the private
 ``_scans`` slot).  Z+, pt+, pt+(G, k) and throttling on one object therefore
 scan each size once between them; an equal but distinct object starts
-empty.  The public entry points check their caps before they consult the
-memo, so a warm memo never lets a capped call through.
+empty.
+
+Each exact entry point has one budget per call, ``max_subsets`` sets
+propagated, and reaches its sizes through ``_budgeted_scans``.  Size k is
+charged C(n - i, k - i) before it is scanned, i the number of isolated
+vertices: the scan propagates at most the supersets of the isolated set,
+and sizes below i cost nothing.  Over budget, :class:`CapExceededError` is
+raised before the scan.  Memoised sizes are charged too, so whether a call
+is refused never depends on what earlier calls scanned.
 
 Per-component times need no induced subgraph.  For a forcing set B and a
 component C of G - B, run the rule in G from V - C: C is the only white
@@ -29,20 +36,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 # induced_subgraph is unused here, but perfbench/tracing.py MANIFEST lists
 # engine as one of its importers and fails on a missing binding.
 from .graph import Graph, as_mask, components, induced_subgraph, vlist
 
-# Subset scans are exponential; these caps keep desk-scale calls honest and
-# can be overridden per call (the CLI exposes --max-n / --max-subsets).
-DEFAULT_MAX_N = 12
-DEFAULT_MAX_SUBSETS = 10**6
+DEFAULT_MAX_SUBSETS = 10**6  # sets one exact search call may propagate
 
 
 class CapExceededError(RuntimeError):
-    """The requested exact search is larger than the configured cap."""
+    """The requested exact search is larger than its subset budget."""
 
 
 class NoForcingSetError(ValueError):
@@ -85,16 +89,9 @@ class PropagationSchedule:
         the run succeeded)."""
         return len(self.rounds)
 
-    def blue_after(self, i: int) -> int:
-        """Blue mask after round i (i=0 is the initial set)."""
-        mask = self.initial
-        for r in self.rounds[:i]:
-            mask |= r
-        return mask
-
     @property
     def final(self) -> int:
-        return self.blue_after(len(self.rounds))
+        return self.initial | sum(self.rounds)  # the rounds are disjoint
 
     @property
     def residual_white(self) -> int:
@@ -314,25 +311,39 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
     return best
 
 
-def _z_and_pt(g: Graph) -> tuple[int, int, int]:
+def _budgeted_scans(
+    g: Graph, ks: Iterable[int], max_subsets: int | None = None
+) -> Iterator[tuple[int, tuple[int, int] | None]]:
+    """Yield (k, ``_scan_size_k(g, k)``) for each k, charging one budget.
+
+    See the module docstring for the charge.
+    """
+    cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
+    niso = _isolated_mask(g).bit_count()
+    spent = 0
+    for k in ks:
+        if k >= niso:
+            spent += math.comb(g.n - niso, k - niso)
+        if spent > cap:
+            raise CapExceededError(
+                f"sizes up to {k} need {spent} subsets, over the budget {cap}; raise max_subsets to override"
+            )
+        yield k, _scan_size_k(g, k)
+
+
+def _z_and_pt(g: Graph, max_subsets: int | None = None) -> tuple[int, int, int]:
     """(Z, pt, witness): least forcing-set size, its best time, one witness."""
-    for k in range(max(1, _isolated_mask(g).bit_count()), g.n + 1):
-        got = _scan_size_k(g, k)
+    for k, got in _budgeted_scans(g, range(1, g.n + 1), max_subsets):
         if got is not None:
             return k, got[0], got[1]
     raise AssertionError("the full vertex set always forces")
 
 
 def psd_zero_forcing_number(
-    g: Graph, *, max_n: int | None = None
+    g: Graph, *, max_subsets: int | None = None
 ) -> tuple[int, int]:
     """Least size of a forcing set, with one witness mask."""
-    cap = DEFAULT_MAX_N if max_n is None else max_n
-    if g.n > cap:
-        raise CapExceededError(
-            f"order {g.n} exceeds the exact-search cap {cap}; raise max_n to override"
-        )
-    z, _, witness = _z_and_pt(g)
+    z, _, witness = _z_and_pt(g, max_subsets)
     return z, witness
 
 
@@ -342,35 +353,25 @@ def pt_plus_k(
     """Best propagation time over blue sets of size exactly k, with witness.
 
     Raises :class:`NoForcingSetError` if no size-k set forces (distinct from
-    the cap error).
+    the budget error).
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"k must be in 0..{g.n}, got {k}")
-    cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
-    if math.comb(g.n, k) > cap:
-        raise CapExceededError(
-            f"C({g.n},{k}) exceeds the subset-scan cap {cap}; raise max_subsets to override"
-        )
-    got = _scan_size_k(g, k)
+    _, got = next(_budgeted_scans(g, (k,), max_subsets))
     if got is None:
         raise NoForcingSetError(f"no forcing set of size {k}")
     return got
 
 
 def pt_plus(
-    g: Graph, *, max_n: int | None = None
+    g: Graph, *, max_subsets: int | None = None
 ) -> tuple[int, int]:
     """Propagation time of the graph: best time over minimum forcing sets.
 
     Returns (pt, witness_mask); the witness is a minimum forcing set
     achieving it.
     """
-    cap = DEFAULT_MAX_N if max_n is None else max_n
-    if g.n > cap:
-        raise CapExceededError(
-            f"order {g.n} exceeds the exact-search cap {cap}; raise max_n to override"
-        )
-    _, pt, witness = _z_and_pt(g)
+    _, pt, witness = _z_and_pt(g, max_subsets)
     return pt, witness
 
 

@@ -8,18 +8,12 @@ per order to JSON-lines files and resume.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .canon import enumerate_graphs
-from .engine import (
-    CapExceededError,
-    DEFAULT_MAX_SUBSETS,
-    _scan_size_k,
-    _z_and_pt,
-)
+from .engine import _budgeted_scans, _z_and_pt
 from .graph import Graph, complement, parse_graph6, vlist, write_graph6
 
 
@@ -76,17 +70,11 @@ def throttling_number(
     """min over k of k + best time at size k; returns (value, best_k, witness).
 
     Ties go to the least k.  The value never exceeds ceil((n + Z)/2)
-    (asserted).
+    (asserted).  Every size is charged to one ``max_subsets`` budget.
     """
-    cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
-    if 2**g.n > cap:
-        raise CapExceededError(
-            f"2^{g.n} subsets exceed the scan cap {cap}; raise max_subsets to override"
-        )
     best: tuple[int, int, int] | None = None
     z = None
-    for k in range(1, g.n + 1):
-        got = _scan_size_k(g, k)
+    for k, got in _budgeted_scans(g, range(1, g.n + 1), max_subsets):
         if got is None:
             continue
         if z is None:

@@ -39,7 +39,8 @@ def test_compute_throttle(capsys):
 
 
 def test_compute_cap_skips(capsys):
-    code, out, err = run(capsys, "compute", "--g6", "DhC", "--max-n", "4")
+    # Z+ of DhC (path 5) costs its 5 single vertices
+    code, out, err = run(capsys, "compute", "--g6", "DhC", "--max-subsets", "2")
     assert code == 1
     assert out == ""
     assert "skipped" in err
@@ -226,6 +227,33 @@ def test_verify_bounds_table(capsys):
     assert "0 violation(s), 0 skipped" in err
 
 
+def test_compute_budget_applies_without_throttle(capsys):
+    code, out, err = run(capsys, "compute", "--family", "path:5", "--max-subsets", "1")
+    assert code == 1
+    assert out == ""
+    assert "skipped" in err
+    code, out, _ = run(capsys, "compute", "--family", "path:5", "--max-subsets", "5")
+    assert code == 0
+    assert out.startswith("g6 ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "migrate1", "migrate2"])
+@pytest.mark.parametrize("flag", ["--max-n", "--max-subsets"])
+def test_cap_flags_only_where_a_search_runs(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "path:4", "--blue", "0", flag, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compute", "verify-bounds"])
+def test_order_cap_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "path:4", "--max-n", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_bounds_skip_fails(capsys):
     code, out, err = run(
         capsys, "verify-bounds", "--family", "path:5", "--max-subsets", "2"
@@ -252,7 +280,7 @@ def test_sources_are_exclusive():
 
 
 def test_stdout_byte_determinism(capsys):
-    argv = ("compute", "--fixture", "figure4", "--json", "--max-n", "15")
+    argv = ("compute", "--fixture", "figure4", "--json")
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first[0] == second[0] == 0

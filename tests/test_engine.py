@@ -247,15 +247,17 @@ def test_k_efficient_witness_has_balanced_components(classes_by_order):
 
 
 def test_caps_are_reported():
+    # Z+ of path(13) charges its 13 single vertices
     with pytest.raises(CapExceededError):
-        psd_zero_forcing_number(path(13))
+        psd_zero_forcing_number(path(13), max_subsets=12)
     with pytest.raises(CapExceededError):
-        pt_plus(path(13))
+        pt_plus(path(13), max_subsets=12)
     with pytest.raises(CapExceededError):
         pt_plus_k(path(12), 6, max_subsets=100)
-    # explicit override lifts the order cap
-    z, _ = psd_zero_forcing_number(path(13), max_n=13)
+    # no order cap: the default budget covers the 13 sets
+    z, _ = psd_zero_forcing_number(path(13))
     assert z == 1
+    assert psd_zero_forcing_number(path(13), max_subsets=13)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +352,47 @@ def test_caps_hold_with_warm_memo():
     with pytest.raises(CapExceededError):
         pt_plus_k(g, 6, max_subsets=100)
     big = path(13)
-    psd_zero_forcing_number(big, max_n=13)
+    psd_zero_forcing_number(big)
     with pytest.raises(CapExceededError):
-        psd_zero_forcing_number(big)
+        psd_zero_forcing_number(big, max_subsets=12)
     with pytest.raises(CapExceededError):
-        pt_plus(big)
+        pt_plus(big, max_subsets=12)
+
+
+# ---------------------------------------------------------------------------
+# the subset budget
+
+
+def test_budget_bounds_the_z_scan(scanned):
+    # sizes 1 and 2 cost 30 + 435 sets; size 3 would bring the total to 4,525
+    with pytest.raises(CapExceededError):
+        psd_zero_forcing_number(complete(30), max_subsets=1000)
+    assert 0 < len(scanned) <= 1000
+    assert max(m.bit_count() for m in scanned) == 2
+
+
+def test_budget_charges_only_supersets_of_isolated_vertices():
+    # the one size-20 set that holds every isolated vertex costs 1
+    assert psd_zero_forcing_number(Graph(20), max_subsets=1) == (20, (1 << 20) - 1)
+    assert pt_plus(Graph(20), max_subsets=1) == (0, (1 << 20) - 1)
+
+
+def test_budget_sizes_below_the_isolated_set_have_no_forcing_set():
+    # C(n - i, k - i) with k < i must not reach math.comb as a negative k
+    with pytest.raises(NoForcingSetError):
+        pt_plus_k(Graph(20), 3)
+
+
+def test_budget_sizes_below_the_isolated_set_cost_nothing(scanned):
+    with pytest.raises(NoForcingSetError):
+        pt_plus_k(Graph(20), 3, max_subsets=0)
+    assert scanned == []
+
+
+def test_budget_is_per_call():
+    # throttling charges 2^6 - 1 = 63 sets; each call has its own budget
+    g = path(6)
+    assert throttling_number(g, max_subsets=63)[0] == 3
+    assert throttling_number(g, max_subsets=63)[0] == 3
+    with pytest.raises(CapExceededError):
+        throttling_number(g, max_subsets=62)
