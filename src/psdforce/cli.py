@@ -74,20 +74,29 @@ def _add_io(p: argparse.ArgumentParser, *, families_only: bool = False) -> None:
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-subsets", type=int, default=None, metavar="M",
+    p.add_argument("--max-subsets", type=_budget, default=None, metavar="M",
                    help="most sets one exact search may propagate "
                         f"(default {DEFAULT_MAX_SUBSETS:,}); over it, the graph is skipped")
 
 
-def _job_count(text: str) -> int:
-    """--jobs value: at least 1, at most the number of CPUs."""
+def _int_at_least(text: str, least: int) -> int:
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    return value
+
+
+def _budget(text: str) -> int:
+    """--max-subsets value: at least 0."""
+    return _int_at_least(text, 0)
+
+
+def _job_count(text: str) -> int:
+    """--jobs value: at least 1, at most the number of CPUs."""
+    return min(_int_at_least(text, 1), os.cpu_count() or 1)
 
 
 def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:

@@ -19,10 +19,21 @@ empty.
 Each exact entry point has one budget per call, ``max_subsets`` sets
 propagated, and reaches its sizes through ``_budgeted_scans``.  Size k is
 charged C(n - i, k - i) before it is scanned, i the number of isolated
-vertices: the scan propagates at most the supersets of the isolated set,
-and sizes below i cost nothing.  Over budget, :class:`CapExceededError` is
-raised before the scan.  Memoised sizes are charged too, so whether a call
-is refused never depends on what earlier calls scanned.
+vertices: the scan propagates at most the supersets of the isolated set.
+Over budget, :class:`CapExceededError` is raised before the scan.  Memoised
+sizes are charged too, so whether a call is refused never depends on what
+earlier calls scanned.
+
+Sizes that provably hold no forcing set are neither scanned nor charged.
+Barioli, Barrett, Fallat, Hall, Hogben, Shader, van den Driessche and van
+der Holst ("Parameters related to tree-width, zero forcing, and maximum
+nullity of a graph", J. Graph Theory 2013) prove tw(G) <= Z+(G), and the
+treewidth is at least the degeneracy.  Z+ adds over components and is at
+least 1 on each, so no set smaller than L(G), the sum over components C of
+max(1, degeneracy(C)), forces (``_z_lower_bound``).  The rule that sizes
+below the isolated-vertex count cannot force is the special case where each
+isolated vertex is a component counting 1.  The paper's own bound
+ceil((n - k)/2) is never used to limit a scan: the scans are what check it.
 
 Per-component times need no induced subgraph.  For a forcing set B and a
 component C of G - B, run the rule in G from V - C: C is the only white
@@ -311,19 +322,56 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
     return best
 
 
+def _degeneracy(adj: tuple[int, ...], mask: int) -> int:
+    """Degeneracy of the subgraph induced on ``mask``.
+
+    Peels one vertex at a time over bitmasks.  A vertex of degree at most d,
+    the largest least degree met so far, may go at once; when none is left,
+    d rises to the least degree.
+    """
+    d = 0
+    while mask:
+        least = mask.bit_count()  # above every degree in the subgraph
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            deg = (adj[low.bit_length() - 1] & mask).bit_count()
+            if deg <= d:
+                mask ^= low
+                break
+            if deg < least:
+                least = deg
+        else:
+            d = least
+    return d
+
+
+def _z_lower_bound(g: Graph) -> int:
+    """L(G): the sum over components of max(1, degeneracy), at most Z+(G).
+
+    See the module docstring for the proof.
+    """
+    return sum(max(1, _degeneracy(g.adj, comp)) for comp in components(g))
+
+
 def _budgeted_scans(
     g: Graph, ks: Iterable[int], max_subsets: int | None = None
 ) -> Iterator[tuple[int, tuple[int, int] | None]]:
     """Yield (k, ``_scan_size_k(g, k)``) for each k, charging one budget.
 
+    Sizes below ``_z_lower_bound(g)`` yield None unscanned and uncharged.
     See the module docstring for the charge.
     """
     cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
     niso = _isolated_mask(g).bit_count()
+    floor = _z_lower_bound(g)
     spent = 0
     for k in ks:
-        if k >= niso:
-            spent += math.comb(g.n - niso, k - niso)
+        if k < floor:
+            yield k, None
+            continue
+        spent += math.comb(g.n - niso, k - niso)
         if spent > cap:
             raise CapExceededError(
                 f"sizes up to {k} need {spent} subsets, over the budget {cap}; raise max_subsets to override"

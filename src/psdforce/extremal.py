@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import takewhile
 from multiprocessing import Pool
 
 from .canon import enumerate_graphs
@@ -70,11 +71,14 @@ def throttling_number(
     """min over k of k + best time at size k; returns (value, best_k, witness).
 
     Ties go to the least k.  The value never exceeds ceil((n + Z)/2)
-    (asserted).  Every size is charged to one ``max_subsets`` budget.
+    (asserted).  Every size scanned is charged to one ``max_subsets``
+    budget.  Since k + pt >= k, the sizes stop once k reaches the best
+    k + pt so far: the next size is neither charged nor scanned.
     """
     best: tuple[int, int, int] | None = None
     z = None
-    for k, got in _budgeted_scans(g, range(1, g.n + 1), max_subsets):
+    ks = takewhile(lambda k: best is None or k < best[0], range(1, g.n + 1))
+    for k, got in _budgeted_scans(g, ks, max_subsets):
         if got is None:
             continue
         if z is None:

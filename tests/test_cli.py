@@ -237,6 +237,20 @@ def test_compute_budget_applies_without_throttle(capsys):
     assert out.startswith("g6 ")
 
 
+@pytest.mark.parametrize("command", ["compute", "verify-bounds"])
+def test_negative_budget_rejected_at_parse_time(capsys, command):
+    for bad in ("-5", "-1", "five"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "path:3", "--max-subsets", bad])
+        assert exc.value.code == 2
+        assert "--max-subsets" in capsys.readouterr().err
+    # 0 is a valid budget: it parses, then skips every graph that needs a scan
+    code, out, err = run(capsys, command, "--family", "path:3", "--max-subsets", "0")
+    assert code == 1
+    assert out == ""
+    assert "skipped" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "migrate1", "migrate2"])
 @pytest.mark.parametrize("flag", ["--max-n", "--max-subsets"])
 def test_cap_flags_only_where_a_search_runs(capsys, command, flag):

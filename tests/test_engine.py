@@ -12,6 +12,7 @@ from psdforce import (
     NoForcingSetError,
     NotForcingError,
     component_pt,
+    enumerate_graphs,
     forceable,
     forcing_forest,
     is_psd_forcing_set,
@@ -364,11 +365,23 @@ def test_caps_hold_with_warm_memo():
 
 
 def test_budget_bounds_the_z_scan(scanned):
-    # sizes 1 and 2 cost 30 + 435 sets; size 3 would bring the total to 4,525
+    # on the 5x6 grid L = 2 < Z+: size 2 costs 435 sets, and size 3 brings
+    # the total to 4,495
+    grid = Graph(30, [(r * 6 + c, r * 6 + c + 1) for r in range(5) for c in range(5)]
+                 + [(r * 6 + c, r * 6 + c + 6) for r in range(4) for c in range(6)])
+    assert engine._z_lower_bound(grid) == 2
     with pytest.raises(CapExceededError):
-        psd_zero_forcing_number(complete(30), max_subsets=1000)
+        psd_zero_forcing_number(grid, max_subsets=1000)
     assert 0 < len(scanned) <= 1000
     assert max(m.bit_count() for m in scanned) == 2
+
+
+def test_budget_answers_complete_30_at_its_lower_bound(scanned):
+    # L(K30) = 29 = Z+: only the 30 sets of size 29 are charged
+    with pytest.raises(CapExceededError):
+        psd_zero_forcing_number(complete(30), max_subsets=29)
+    assert scanned == []
+    assert psd_zero_forcing_number(complete(30), max_subsets=30)[0] == 29
 
 
 def test_budget_charges_only_supersets_of_isolated_vertices():
@@ -390,9 +403,40 @@ def test_budget_sizes_below_the_isolated_set_cost_nothing(scanned):
 
 
 def test_budget_is_per_call():
-    # throttling charges 2^6 - 1 = 63 sets; each call has its own budget
+    # throttling charges sizes 1 and 2, 6 + 15 = 21 sets, and stops at k = 3
+    # = 2 + pt; each call has its own budget
     g = path(6)
-    assert throttling_number(g, max_subsets=63)[0] == 3
-    assert throttling_number(g, max_subsets=63)[0] == 3
+    assert throttling_number(g, max_subsets=21)[0] == 3
+    assert throttling_number(g, max_subsets=21)[0] == 3
     with pytest.raises(CapExceededError):
-        throttling_number(g, max_subsets=62)
+        throttling_number(g, max_subsets=20)
+
+
+# ---------------------------------------------------------------------------
+# the lower bound L(G) on Z+
+
+
+def test_degeneracy_is_the_largest_least_degree_of_a_subgraph(classes_by_order):
+    for n, labels in classes_by_order.items():
+        for lab in labels:
+            g = parse_graph6(lab)
+            ref = max(
+                min((g.adj[v] & sub).bit_count() for v in vlist(sub))
+                for sub in range(1, 1 << n)
+            )
+            assert engine._degeneracy(g.adj, g.full_mask) == ref, lab
+
+
+def test_no_set_below_the_lower_bound_forces():
+    # closure is monotone, so the size L - 1 scan failing rules out all
+    # smaller sizes; a fresh Graph has no memo and scans for real
+    for g in enumerate_graphs(7):
+        g = Graph(g.n, g.edges())
+        floor = engine._z_lower_bound(g)
+        if floor >= 2:
+            assert engine._scan_size_k(g, floor - 1) is None, g.edges()
+
+
+def test_sizes_below_the_lower_bound_are_not_scanned(scanned):
+    assert psd_zero_forcing_number(complete(12))[0] == 11
+    assert min(m.bit_count() for m in scanned) == 11
