@@ -32,8 +32,9 @@ treewidth is at least the degeneracy.  Z+ adds over components and is at
 least 1 on each, so no set smaller than L(G), the sum over components C of
 max(1, degeneracy(C)), forces (``_z_lower_bound``).  The rule that sizes
 below the isolated-vertex count cannot force is the special case where each
-isolated vertex is a component counting 1.  The paper's own bound
-ceil((n - k)/2) is never used to limit a scan: the scans are what check it.
+isolated vertex is a component counting 1.  Like the scans, L(G) is
+computed once per object.  The paper's own bound ceil((n - k)/2) is never
+used to limit a scan: the scans are what check it.
 
 Per-component times need no induced subgraph.  For a forcing set B and a
 component C of G - B, run the rule in G from V - C: C is the only white
@@ -47,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 # induced_subgraph is unused here, but perfbench/tracing.py MANIFEST lists
@@ -201,7 +203,9 @@ def forceable(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
             x = adj[u] & comp
             if not x & (x - 1):
                 pairs.append((u, x.bit_length() - 1))
-    pairs.sort(key=lambda p: (p[1], p[0]))
+    # Each component appends its forcers in increasing order and a target
+    # lies in one component, so a stable sort by target orders by forcer too.
+    pairs.sort(key=itemgetter(1))
     return pairs
 
 
@@ -361,11 +365,13 @@ def _budgeted_scans(
     """Yield (k, ``_scan_size_k(g, k)``) for each k, charging one budget.
 
     Sizes below ``_z_lower_bound(g)`` yield None unscanned and uncharged.
-    See the module docstring for the charge.
+    See the module docstring for the charge.  The isolated-vertex count and
+    the lower bound are computed once per object (the ``_floor`` slot).
     """
     cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
-    niso = _isolated_mask(g).bit_count()
-    floor = _z_lower_bound(g)
+    if g._floor is None:
+        g._floor = (_isolated_mask(g).bit_count(), _z_lower_bound(g))
+    niso, floor = g._floor
     spent = 0
     for k in ks:
         if k < floor:

@@ -28,11 +28,12 @@ class Graph:
 
     Adjacency is one bitmask per vertex: bit v of ``adj[u]`` is set iff uv is
     an edge.  Loops and multi-edges are rejected at construction.
-    ``_scans`` is the engine's per-object memo of size-k scans (None until
-    the first scan); it is not part of the graph's value.
+    ``full_mask`` is the mask of all n vertices.  ``_scans`` and ``_floor``
+    are the engine's per-object memos of size-k scans and of the scan floor
+    (None until first needed); they are not part of the graph's value.
     """
 
-    __slots__ = ("n", "adj", "_scans")
+    __slots__ = ("n", "adj", "full_mask", "_scans", "_floor")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -47,7 +48,8 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.adj = tuple(rows)
-        self._scans = None
+        self.full_mask = (1 << n) - 1
+        self._scans = self._floor = None
 
     @classmethod
     def _from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -56,12 +58,9 @@ class Graph:
         g = object.__new__(cls)
         g.adj = tuple(rows)
         g.n = len(g.adj)
-        g._scans = None
+        g.full_mask = (1 << g.n) - 1
+        g._scans = g._floor = None
         return g
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     @property
     def num_edges(self) -> int:
@@ -303,18 +302,22 @@ def is_bridge(g: Graph, u: int, v: int) -> bool:
     return True
 
 
-def bridges(g: Graph) -> set[tuple[int, int]]:
-    """All bridges of g as (u, v) pairs with u < v, via DFS low-points."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
+def bridges(g: Graph, removed: int | Iterable[int] = 0) -> set[tuple[int, int]]:
+    """All bridges of g - removed as (u, v) pairs with u < v, via DFS low-points.
+
+    Vertices keep their ids in g, as in :func:`components`.
+    """
+    keep = g.full_mask & ~as_mask(g, removed)
+    adj = g.adj
+    disc = [-1] * g.n
+    low = [0] * g.n
     out: set[tuple[int, int]] = set()
     timer = 0
-    for root in range(n):
+    for root in vlist(keep):
         if disc[root] != -1:
             continue
         # iterative DFS; stack holds (vertex, parent, iterator state as mask)
-        stack = [(root, -1, g.adj[root])]
+        stack = [(root, -1, adj[root] & keep)]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -326,7 +329,7 @@ def bridges(g: Graph) -> set[tuple[int, int]]:
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, g.adj[w] & ~(1 << v)))
+                    stack.append((w, v, adj[w] & keep & ~(1 << v)))
                 else:
                     low[v] = min(low[v], disc[w])
             else:

@@ -14,6 +14,21 @@ until the two largest per-component times differ by at most one (which pins
 the overall time at or below ceil((n-k)/2) steps).  Every claimed
 postcondition is re-checked at runtime; a violation raises
 :class:`ConsistencyError` and means an implementation bug, not a user error.
+
+The loops propagate each blue set once to check it: the time a pass starts
+from is the one measured when its set was checked, and the components of
+G - B that one pass checks are the ones the next pass starts from.  (The
+per-component times ``balance_propagation`` reads come from
+:func:`component_pt`, which checks its input on its own.)  The checks are:
+
+* the input forces (:class:`NotForcingError` otherwise), and every migrated
+  set still forces;
+* ``shrink_max_component``: the largest component strictly shrinks;
+* ``balance_propagation``: every pass lowers the time by exactly one, and
+  the final time is at most ceil((n-k)/2);
+* ``multi_vertex_migrate``: the blue-set size is unchanged;
+* ``verify_force_switch``: its four readings, each computed on its own,
+  agree.
 """
 
 from __future__ import annotations
@@ -22,6 +37,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# induced_subgraph is unused here, but perfbench/tracing.py MANIFEST lists
+# migration as one of its importers and fails on a missing binding.
 from .graph import Graph, as_mask, bridges, components, induced_subgraph, vlist
 from .engine import (
     ForceEvent,
@@ -67,9 +84,13 @@ class MigrationTrace:
             yield step.to_json()
 
 
-def _require_forcing(g: Graph, blue: int) -> None:
-    if _pt_mask(g.adj, g.n, blue) is None:
+def _require_forcing(g: Graph, blue: int) -> int:
+    """Propagation time of ``blue``; raises :class:`NotForcingError` if it
+    does not force."""
+    pt = _pt_mask(g.adj, g.n, blue)
+    if pt is None:
         raise NotForcingError("blue set does not force the graph")
+    return pt
 
 
 def _assigned_into(g: Graph, blue: int, comp: int) -> list[tuple[int, int]]:
@@ -119,10 +140,8 @@ def verify_force_switch(
 
     # (b): direct reachability with the edge removed, inside g - s
     keep = g.full_mask & ~smask
-    sub, remap = induced_subgraph(g, keep)
-    sv, sw = remap[v], remap[w]
-    seen = 1 << sv
-    frontier = seen
+    adj = g.adj
+    seen = frontier = 1 << v
     while frontier:
         nxt = 0
         f = frontier
@@ -130,17 +149,17 @@ def verify_force_switch(
             low = f & -f
             f ^= low
             x = low.bit_length() - 1
-            row = sub.adj[x]
-            if x == sv:
-                row &= ~(1 << sw)
-            elif x == sw:
-                row &= ~(1 << sv)
+            row = adj[x]
+            if x == v:
+                row &= ~(1 << w)
+            elif x == w:
+                row &= ~(1 << v)
             nxt |= row
-        frontier = nxt & ~seen
+        frontier = nxt & keep & ~seen
         seen |= frontier
-    b = not seen >> sw & 1
+    b = not seen >> w & 1
 
-    c = (min(sv, sw), max(sv, sw)) in bridges(sub)
+    c = (min(v, w), max(v, w)) in bridges(g, smask)
 
     if not a == b == c == d:
         raise ConsistencyError(
@@ -186,10 +205,8 @@ def shrink_max_component(
     k = cur.bit_count()
     bound = (n - k + 1) // 2  # ceil((n-k)/2)
     steps: list[MigrationStep] = []
-    while True:
-        comps = components(g, cur)
-        if not comps:
-            break
+    comps = components(g, cur)
+    while comps:
         big = max(comps, key=lambda c: c.bit_count())
         size = big.bit_count()
         if size <= bound:
@@ -201,7 +218,8 @@ def shrink_max_component(
         nxt = (cur & ~(1 << v)) | 1 << w
         if _pt_mask(g.adj, g.n, nxt) is None:
             raise ConsistencyError(f"migrated set {vlist(nxt)} lost the forcing property")
-        new_max = max(c.bit_count() for c in components(g, nxt))
+        comps = components(g, nxt)
+        new_max = max(c.bit_count() for c in comps)
         if new_max >= size:
             raise ConsistencyError(
                 f"largest component did not shrink: {size} -> {new_max}"
@@ -283,7 +301,7 @@ def balance_propagation(
     most ceil((n-k)/2) steps (asserted).
     """
     cur = as_mask(g, blue)
-    _require_forcing(g, cur)
+    pt = _require_forcing(g, cur)
     n = g.n
     k = cur.bit_count()
     steps: list[MigrationStep] = []
@@ -301,13 +319,12 @@ def balance_propagation(
         nxt = cur
         for u, w in pairs:
             nxt = (nxt & ~(1 << u)) | 1 << w
-        old_pt = _pt_mask(g.adj, n, cur)
         new_pt = _pt_mask(g.adj, n, nxt)
         if new_pt is None:
             raise ConsistencyError(f"migrated set {vlist(nxt)} lost the forcing property")
-        if new_pt != old_pt - 1:
+        if new_pt != pt - 1:
             raise ConsistencyError(
-                f"balancing pass changed the time {old_pt} -> {new_pt}, expected -1"
+                f"balancing pass changed the time {pt} -> {new_pt}, expected -1"
             )
         steps.append(
             MigrationStep(
@@ -318,11 +335,10 @@ def balance_propagation(
                 forces=tuple(ForceEvent(u, w, 1) for u, w in pairs),
             )
         )
-        cur = nxt
-    final_pt = _pt_mask(g.adj, n, cur)
+        cur, pt = nxt, new_pt
     bound = (n - k + 1) // 2  # ceil((n-k)/2)
-    if final_pt is None or final_pt > bound:
+    if pt > bound:
         raise ConsistencyError(
-            f"balanced set has time {final_pt}, above the halving bound {bound}"
+            f"balanced set has time {pt}, above the halving bound {bound}"
         )
     return cur, MigrationTrace(tuple(steps), cur)

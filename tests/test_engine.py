@@ -41,15 +41,16 @@ def _adj(g):
 
 
 def test_forceable_matches_reference(classes_by_order):
+    # the exact list: every valid pair, ordered by target then forcer
     for n, labels in classes_by_order.items():
-        if n > 5:
-            continue
         for lab in labels:
             g = parse_graph6(lab)
+            adj = _adj(g)
             for blue in range(1 << n):
-                mine = set(forceable(g, blue))
-                ref = ref_first_forces(_adj(g), n, vlist(blue))
-                assert mine == ref, (lab, vlist(blue))
+                ref = sorted(
+                    ref_first_forces(adj, n, vlist(blue)), key=lambda p: (p[1], p[0])
+                )
+                assert forceable(g, blue) == ref, (lab, vlist(blue))
 
 
 def test_forceable_is_sorted():
@@ -400,6 +401,27 @@ def test_budget_sizes_below_the_isolated_set_cost_nothing(scanned):
     with pytest.raises(NoForcingSetError):
         pt_plus_k(Graph(20), 3, max_subsets=0)
     assert scanned == []
+
+
+def test_lower_bound_is_computed_once_per_object(monkeypatch):
+    calls = []
+    real = engine._z_lower_bound
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(engine, "_z_lower_bound", counting)
+    g = path(8)
+    psd_zero_forcing_number(g)
+    pt_plus(g)
+    for k in range(1, g.n + 1):
+        pt_plus_k(g, k)
+    throttling_number(g)
+    assert calls == [g]
+    twin = Graph(g.n, g.edges())
+    pt_plus(twin)
+    assert len(calls) == 2 and calls[1] is twin
 
 
 def test_budget_is_per_call():

@@ -79,6 +79,25 @@ def test_bridges_on_known_graphs():
     g, names = lollipop(3, 1)
     assert bridges(g) == {(2, 3)}
     assert is_bridge(g, 2, 3) and not is_bridge(g, 0, 1)
+    # the vertices left keep their ids
+    assert bridges(cycle(4), [2]) == {(0, 1), (0, 3)}
+    assert bridges(g, [3]) == set()
+    assert bridges(path(4), 0b1111) == set()
+
+
+def test_bridges_of_a_vertex_deleted_subgraph(classes_by_order):
+    for n, labels in classes_by_order.items():
+        for lab in labels:
+            g = parse_graph6(lab)
+            assert bridges(g, 0) == bridges(g)
+            for removed in range(1 << n):
+                keep = g.full_mask & ~removed
+                ref = set()
+                if keep:
+                    sub, remap = induced_subgraph(g, keep)
+                    old = {i: v for v, i in remap.items()}
+                    ref = {(old[a], old[b]) for a, b in bridges(sub)}
+                assert bridges(g, removed) == ref, (lab, vlist(removed))
 
 
 def test_is_bridge_agrees_with_bridges(classes_by_order):

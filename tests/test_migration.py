@@ -22,6 +22,7 @@ from psdforce.families import (
     migration_demo_single,
     path,
 )
+from psdforce import migration
 from psdforce.graph import Graph
 from psdforce.migration import (
     balance_propagation,
@@ -296,3 +297,40 @@ def test_balance_postcondition_sweep(classes_by_order):
                     + [propagate(g, s.after).steps for s in trace.steps]
                 )
                 assert all(x - y == 1 for x, y in zip(pts, pts[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the runtime checks fire when a computation they cross-check is wrong
+
+
+def test_force_switch_check_catches_a_missed_bridge(monkeypatch):
+    assert verify_force_switch(path(4), [], 1, 2)[0]
+    monkeypatch.setattr(migration, "bridges", lambda g, removed=0: set())
+    with pytest.raises(ConsistencyError, match="disagree"):
+        verify_force_switch(path(4), [], 1, 2)
+
+
+def test_balance_check_catches_an_unchanged_time(monkeypatch):
+    g = path(7)
+    stuck = migration._pt_mask(g.adj, g.n, 1)  # the time of {0}, 6
+
+    def unchanged(adj, n, blue, limit=None):
+        return stuck
+
+    monkeypatch.setattr(migration, "_pt_mask", unchanged)
+    with pytest.raises(ConsistencyError, match="expected -1"):
+        balance_propagation(g, {0})
+
+
+def test_shrink_check_catches_a_component_that_did_not_shrink(monkeypatch):
+    # the components after the first move are reported as those before it
+    real = migration.components
+    asked = []
+
+    def stale(g, removed=0):
+        asked.append(removed)
+        return real(g, asked[0] if len(asked) == 2 else removed)
+
+    monkeypatch.setattr(migration, "components", stale)
+    with pytest.raises(ConsistencyError, match="did not shrink"):
+        shrink_max_component(path(5), {0})
