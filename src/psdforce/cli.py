@@ -4,7 +4,8 @@ Subcommands: compute, simulate, migrate1, migrate2, family, extremal, ng,
 verify-bounds.  Data goes to stdout and is byte-deterministic for fixed
 input and flags; timings, warnings, and other run metadata go to stderr.
 Exit status is 0 only if every requested computation completed and every
-checked postcondition held.
+checked postcondition held; 1 is a user error or a failed check, 2 a
+rejected command line, and 3 an internal consistency failure (a bug).
 """
 
 from __future__ import annotations
@@ -461,7 +462,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         _note(f"error: {e}")
         return 1
-    except (NoForcingSetError, ConsistencyError, ValueError) as e:
+    except ConsistencyError as e:  # an implementation bug, not a user error
+        _note(f"internal error: {e}")
+        return 3
+    except (NoForcingSetError, ValueError) as e:
         _note(f"error: {e}")
         return 1
 

@@ -41,6 +41,13 @@ component C of G - B, run the rule in G from V - C: C is the only white
 component, and every blue vertex outside C ∪ B lies in another component
 of G - B, so it has no neighbour in C and forces nothing.  Each round then
 forces exactly what B forces inside G[C ∪ B], and the times agree.
+
+The same runs tell whether B forces at all, so ``component_pt`` needs no
+whole-set propagation first.  Forcing inside different components of G - B
+never interacts: every component of a later white set lies inside one
+component of G - B, and a blue vertex's force into it depends on that
+component alone.  The run from V - C does exactly what B does inside
+G[C ∪ B], so B forces G exactly when every per-component run completes.
 """
 
 from __future__ import annotations
@@ -207,6 +214,35 @@ def forceable(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
     # lies in one component, so a stable sort by target orders by forcer too.
     pairs.sort(key=itemgetter(1))
     return pairs
+
+
+def _forces(adj: tuple[int, ...], blue: int, full: int, u: int, w: int) -> bool:
+    """Whether u -> w is a valid force for the blue mask ``blue``.
+
+    For blue u and white w (the caller's guarantee): True iff w is adjacent
+    to u and no other neighbour of u lies in w's component of G - blue, the
+    test :func:`forceable` applies to every pair.  One BFS from w over the
+    white vertices, stopped as soon as that component meets another
+    neighbour of u.
+    """
+    if not adj[u] >> w & 1:
+        return False
+    white = full & ~blue
+    others = adj[u] & white & ~(1 << w)
+    if not others:
+        return True
+    seen = frontier = 1 << w
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & white & ~seen
+        if frontier & others:
+            return False
+        seen |= frontier
+    return True
 
 
 def propagate(g: Graph, initial: int | Iterable[int]) -> PropagationSchedule:
@@ -434,16 +470,17 @@ def component_pt(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
 
     The time of component C is the propagation time of B inside the subgraph
     induced on C plus B.  Components come back ordered by least vertex; the
-    whole-graph time equals the max of the per-component times.
+    whole-graph time equals the max of the per-component times.  Raises
+    :class:`NotForcingError` when some component's run stalls, which happens
+    exactly when B does not force (see the module docstring).
     """
     mask = as_mask(g, blue)
     adj, n = g.adj, g.n
-    if _pt_mask(adj, n, mask) is None:
-        raise NotForcingError("blue set does not force the graph")
     out = []
     for comp in components(g, mask):
         # same rounds as B inside G[comp + B]: see the module docstring
         pt = _pt_mask(adj, n, g.full_mask & ~comp)
-        assert pt is not None, "a forcing set forces every component"
+        if pt is None:
+            raise NotForcingError("blue set does not force the graph")
         out.append((comp, pt))
     return out

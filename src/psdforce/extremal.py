@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import takewhile
 from multiprocessing import Pool
+from typing import Iterable
 
 from .canon import enumerate_graphs
 from .engine import _budgeted_scans, _z_and_pt
@@ -185,40 +187,52 @@ def _write_checkpoint(path: str, records: list[ExtremalRecord]) -> None:
     os.replace(tmp, path)
 
 
-def _records_for_order(
-    n: int,
+def _records_for_orders(
+    orders: Iterable[int],
     worker,
     task: str,
     jobs: int = 1,
     checkpoint_dir: str | None = None,
 ) -> list[ExtremalRecord]:
-    if checkpoint_dir is not None:
-        path = _checkpoint_file(checkpoint_dir, task, n)
-        cached = _load_checkpoint(path)
-        if cached is not None:
-            return cached
-    labels = [write_graph6(g) for g in enumerate_graphs(n)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            records = pool.map(worker, labels, chunksize=64)
-    else:
-        records = [worker(lab) for lab in labels]
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        _write_checkpoint(_checkpoint_file(checkpoint_dir, task, n), records)
-    return records
+    """Records of every class of each order in ``orders``, order by order.
+
+    An order with a complete checkpoint is read from it; any other order is
+    computed, then checkpointed.  With ``jobs`` > 1 one ``Pool`` is opened
+    on the first order computed and serves every later one, so a run that
+    resumes every order opens none.
+    """
+    out: list[ExtremalRecord] = []
+    with ExitStack() as stack:
+        pool = None
+        for n in orders:
+            path = None
+            if checkpoint_dir is not None:
+                path = _checkpoint_file(checkpoint_dir, task, n)
+                cached = _load_checkpoint(path)
+                if cached is not None:
+                    out.extend(cached)
+                    continue
+            labels = [write_graph6(g) for g in enumerate_graphs(n)]
+            if jobs > 1:
+                if pool is None:
+                    pool = stack.enter_context(Pool(jobs))
+                records = pool.map(worker, labels, chunksize=64)
+            else:
+                records = [worker(lab) for lab in labels]
+            if path is not None:
+                os.makedirs(checkpoint_dir, exist_ok=True)
+                _write_checkpoint(path, records)
+            out.extend(records)
+    return out
 
 
 def invariant_table(
     max_n: int, *, jobs: int = 1, checkpoint_dir: str | None = None
 ) -> list[ExtremalRecord]:
     """Z and pt for every isomorphism class of order 1..max_n (max 8)."""
-    out: list[ExtremalRecord] = []
-    for n in range(1, max_n + 1):
-        out.extend(
-            _records_for_order(n, _record_for_label, "invariants", jobs, checkpoint_dir)
-        )
-    return out
+    return _records_for_orders(
+        range(1, max_n + 1), _record_for_label, "invariants", jobs, checkpoint_dir
+    )
 
 
 def classify_extremal(
@@ -293,7 +307,7 @@ class NGSearchResult:
 
 def ng_search(n: int, *, jobs: int = 1, checkpoint_dir: str | None = None) -> NGSearchResult:
     """Exact complement-sum survey of every order-n isomorphism class."""
-    records = _records_for_order(n, _ng_record_for_label, "ng", jobs, checkpoint_dir)
+    records = _records_for_orders((n,), _ng_record_for_label, "ng", jobs, checkpoint_dir)
     hist: dict[int, int] = {}
     attaining = []
     threshold = n // 2 + 2

@@ -309,35 +309,46 @@ def bridges(g: Graph, removed: int | Iterable[int] = 0) -> set[tuple[int, int]]:
     """
     keep = g.full_mask & ~as_mask(g, removed)
     adj = g.adj
-    disc = [-1] * g.n
+    disc = [0] * g.n  # 0: not yet discovered; discovery times start at 1
     low = [0] * g.n
     out: set[tuple[int, int]] = set()
     timer = 0
-    for root in vlist(keep):
-        if disc[root] != -1:
-            continue
-        # iterative DFS; stack holds (vertex, parent, iterator state as mask)
-        stack = [(root, -1, adj[root] & keep)]
-        disc[root] = low[root] = timer
+    roots = keep
+    while roots:
+        rbit = roots & -roots
+        root = rbit.bit_length() - 1
+        seen = rbit
         timer += 1
+        disc[root] = low[root] = timer
+        # iterative DFS; stack holds (vertex, parent, neighbours left as mask)
+        stack = [(root, -1, adj[root] & keep)]
         while stack:
             v, parent, todo = stack[-1]
-            if todo:
+            lv = low[v]
+            while todo:
                 wbit = todo & -todo
-                stack[-1] = (v, parent, todo ^ wbit)
+                todo ^= wbit
                 w = wbit.bit_length() - 1
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
+                dw = disc[w]
+                if not dw:
+                    low[v] = lv
+                    stack[-1] = (v, parent, todo)
                     timer += 1
+                    disc[w] = low[w] = timer
+                    seen |= wbit
                     stack.append((w, v, adj[w] & keep & ~(1 << v)))
-                else:
-                    low[v] = min(low[v], disc[w])
+                    break
+                if dw < lv:
+                    lv = dw
             else:
+                # v is finished: lv is its low-point
                 stack.pop()
                 if parent != -1:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        out.add((min(parent, v), max(parent, v)))
+                    if lv < low[parent]:
+                        low[parent] = lv
+                    if lv > disc[parent]:
+                        out.add((parent, v) if parent < v else (v, parent))
+        roots &= ~seen
     return out
 
 

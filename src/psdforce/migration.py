@@ -19,7 +19,9 @@ The loops propagate each blue set once to check it: the time a pass starts
 from is the one measured when its set was checked, and the components of
 G - B that one pass checks are the ones the next pass starts from.  (The
 per-component times ``balance_propagation`` reads come from
-:func:`component_pt`, which checks its input on its own.)  The checks are:
+:func:`component_pt`, which runs each component of G - B on its own and
+raises :class:`NotForcingError` when one of those runs stalls; that happens
+exactly when the set does not force.)  The checks are:
 
 * the input forces (:class:`NotForcingError` otherwise), and every migrated
   set still forces;
@@ -43,6 +45,7 @@ from .graph import Graph, as_mask, bridges, components, induced_subgraph, vlist
 from .engine import (
     ForceEvent,
     NotForcingError,
+    _forces,
     _pt_mask,
     component_pt,
     forceable,
@@ -121,8 +124,14 @@ def verify_force_switch(
 
     (a) v -> w is a valid initial force for S + v;
     (b) deleting edge vw from G - S leaves v and w in different components;
-    (c) vw is a bridge of G - S (computed independently via DFS low-points);
+    (c) vw is a bridge of G - S;
     (d) w -> v is a valid initial force for S + w.
+
+    Each reading is computed on its own.  (a) and (d) are one BFS each over
+    the white vertices from the target (w, resp. v) that stops when it meets
+    another neighbour of the forcer.  (b) is a BFS from v over G - S that
+    skips the edge vw.  (c) is a lookup in the bridges of G - S, found by
+    DFS low-points.
 
     Returns (value, (a, b, c, d)) and raises :class:`ConsistencyError` if the
     four computations ever disagree.
@@ -135,12 +144,12 @@ def verify_force_switch(
     if not g.has_edge(v, w):
         raise ValueError(f"({v},{w}) is not an edge")
 
-    a = (v, w) in forceable(g, smask | 1 << v)
-    d = (w, v) in forceable(g, smask | 1 << w)
+    adj, full = g.adj, g.full_mask
+    a = _forces(adj, smask | 1 << v, full, v, w)
+    d = _forces(adj, smask | 1 << w, full, w, v)
 
     # (b): direct reachability with the edge removed, inside g - s
-    keep = g.full_mask & ~smask
-    adj = g.adj
+    keep = full & ~smask
     seen = frontier = 1 << v
     while frontier:
         nxt = 0
@@ -179,7 +188,7 @@ def single_vertex_migrate(
     if mask >> w & 1:
         raise ValueError(f"vertex {w} is already blue")
     _require_forcing(g, mask)
-    if (v, w) not in forceable(g, mask):
+    if not _forces(g.adj, mask, g.full_mask, v, w):
         raise ValueError(f"{v} -> {w} is not a valid first-step force")
     out = (mask & ~(1 << v)) | 1 << w
     if _pt_mask(g.adj, g.n, out) is None:

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from psdforce import cli
 from psdforce.cli import build_parser, main
+from psdforce.migration import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -157,6 +159,17 @@ def test_migrate_rejects_non_forcing(capsys):
     assert code == 1
     assert out == ""
     assert "not a PSD forcing set" in err and "stalls" in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(g, blue):
+        raise ConsistencyError("balancing pass changed the time 6 -> 6, expected -1")
+
+    monkeypatch.setattr(cli, "balance_propagation", broken)
+    code, out, err = run(capsys, "migrate2", "--family", "path:7", "--blue", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: balancing pass")
 
 
 def test_family_json(capsys):

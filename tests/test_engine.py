@@ -53,6 +53,22 @@ def test_forceable_matches_reference(classes_by_order):
                 assert forceable(g, blue) == ref, (lab, vlist(blue))
 
 
+def test_single_pair_test_matches_forceable(classes_by_order):
+    # engine._forces answers one pair of forceable's list with one BFS
+    checked = 0
+    for n, labels in classes_by_order.items():
+        for lab in labels:
+            g = parse_graph6(lab)
+            for blue in range(1 << n):
+                pairs = set(forceable(g, blue))
+                for u in vlist(blue):
+                    for w in vlist(g.full_mask & ~blue):
+                        got = engine._forces(g.adj, blue, g.full_mask, u, w)
+                        assert got == ((u, w) in pairs), (lab, vlist(blue), u, w)
+                        checked += 1
+    assert checked == 80900
+
+
 def test_forceable_is_sorted():
     got = forceable(complete(3), [0, 1])
     assert got == [(0, 2), (1, 2)]
@@ -233,6 +249,24 @@ def test_component_times_split(classes_by_order):
 def test_component_pt_rejects_non_forcing():
     with pytest.raises(NotForcingError):
         component_pt(complete(4), [0, 1])
+
+
+def test_component_pt_detects_every_stall(classes_by_order):
+    # the per-component runs alone tell a non-forcing set: component_pt
+    # raises exactly when the oracle's propagation stalls, and otherwise
+    # its slowest component takes the oracle's whole-graph time
+    for n, labels in classes_by_order.items():
+        for lab in labels:
+            g = parse_graph6(lab)
+            adj = _adj(g)
+            for blue in range(1 << n):
+                ref = ref_pt(adj, n, vlist(blue))
+                if ref is None:
+                    with pytest.raises(NotForcingError, match="does not force"):
+                        component_pt(g, blue)
+                else:
+                    times = [t for _, t in component_pt(g, blue)]
+                    assert max(times, default=0) == ref, (lab, vlist(blue))
 
 
 def test_k_efficient_witness_has_balanced_components(classes_by_order):

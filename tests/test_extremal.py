@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from psdforce import CapExceededError, vset
+from psdforce import CapExceededError, extremal, vset
 from psdforce.extremal import (
     ExtremalRecord,
     classify_extremal,
@@ -188,3 +188,23 @@ def test_pool_matches_serial():
     # jobs=2 fans the labels of each order out to a Pool; results keep order
     assert invariant_table(6, jobs=2) == invariant_table(6)
     assert ng_search(6, jobs=2) == ng_search(6)
+
+
+def test_one_pool_per_search(tmp_path, monkeypatch):
+    # a search opens one Pool for all its orders, and none when every order
+    # is read back from its checkpoint
+    starts = []
+    real = extremal.Pool
+
+    def counting(*args, **kwargs):
+        starts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "Pool", counting)
+    ck = str(tmp_path)
+    cold = invariant_table(6, jobs=2, checkpoint_dir=ck)
+    assert len(starts) == 1
+    assert invariant_table(6, jobs=2, checkpoint_dir=ck) == cold
+    assert len(starts) == 1
+    ng_search(6, jobs=2)
+    assert len(starts) == 2

@@ -101,8 +101,14 @@ def test_single_migrate_rejects():
         single_vertex_migrate(g, [0, 1], 0, 1)  # w already blue
     with pytest.raises(NotForcingError):
         single_vertex_migrate(cycle(5), [0], 0, 1)
-    with pytest.raises(ValueError):
-        single_vertex_migrate(g, [0], 0, 2)  # not a first-step force
+    with pytest.raises(ValueError, match="not a valid first-step force"):
+        single_vertex_migrate(g, [0], 0, 2)  # not an edge
+    # triangle 0,1,2 with pendant 3 on 2: {0, 3} forces (3->2, then 0->1),
+    # but 0 sees two white neighbours in one component at the first step
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert is_psd_forcing_set(g, [0, 3])
+    with pytest.raises(ValueError, match="not a valid first-step force"):
+        single_vertex_migrate(g, [0, 3], 0, 1)  # an edge, not a first force
 
 
 def test_single_migrate_always_forces(classes_by_order):
