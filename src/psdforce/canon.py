@@ -5,17 +5,29 @@ relabeling: vertices are grouped by iterated color refinement (cells ordered
 by their refinement signature, which is invariant under relabeling), and the
 label is the lexicographically least adjacency bit string over the
 refinement-consistent permutations.  Two graphs of order <= CANON_MAX_N get
-equal labels iff they are isomorphic.
+equal labels iff they are isomorphic.  The search builds that bit string
+column by column in graph6's own order, so the label is packed straight from
+the search's best columns.
 
 Enumeration grows each class of order n-1 by one new vertex and keeps the
-canonical labels of the children.  Most children are rejected before they are
-labelled, by canonical deletion (B. D. McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998): a child is kept only if its new vertex
-minimises the vertex invariant (degree, sorted neighbour degrees), compared as
-a tuple.  This loses no class, because every graph has a vertex of minimal
-key, deleting it leaves a listed parent, and the key does not depend on the
-labelling.  The dedupe by canonical label remains, since children of
-different parents, or with tied keys, can still be isomorphic.
+canonical labels of the children.  Two steps cut the children labelled, after
+B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998:
+
+* Orbits.  A parent P is grown only by the least neighbourhood mask of each
+  orbit of masks under a group of automorphisms of P: the twin swaps and
+  the maps between tied leaves of P's canonical search.  Masks in one orbit
+  give children that are isomorphic by a map fixing the new vertex, so the
+  test below answers the same for all of them and they share one label.
+  Orbits of a subgroup refine the Aut(P) orbits, so each Aut(P) orbit still
+  keeps its least mask and no class is lost.
+* Canonical deletion.  A child is kept only if its new vertex minimises the
+  vertex invariant (degree, sorted neighbour degrees), compared as a tuple.
+  This loses no class, because every graph has a vertex of minimal key,
+  deleting it leaves a listed parent, and the key does not depend on the
+  labelling.
+
+The dedupe by canonical label remains, since children of different parents,
+or with tied keys, can still be isomorphic.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator
 
-from .graph import Graph, components, parse_graph6, write_graph6
+from .graph import Graph, _graph6_of_columns, components, parse_graph6, write_graph6
 
 CANON_MAX_N = 10
 ENUM_MAX_N = 8
@@ -47,55 +59,60 @@ def _refine_cells(g: Graph) -> list[list[int]]:
     same for every relabeling of g.
     """
     n = g.n
-    colors = [g.degree(v) for v in range(n)]
-    ranks = sorted(set(colors))
-    colors = [ranks.index(c) for c in colors]
-    while True:
+    degs = [g.degree(v) for v in range(n)]
+    rank = {c: i for i, c in enumerate(sorted(set(degs)))}
+    colors = [rank[c] for c in degs]
+    ncolors = len(rank)
+    while ncolors < n:
         keys = [(colors[v], tuple(_sorted_nbr_values(g.adj[v], colors))) for v in range(n)]
         uniq = sorted(set(keys))
-        new = [uniq.index(k) for k in keys]
-        if len(uniq) == len(set(colors)):
+        if len(uniq) == ncolors:
             break
-        colors = new
-    cells: dict[int, list[int]] = {}
+        rank = {k: i for i, k in enumerate(uniq)}
+        colors = [rank[k] for k in keys]
+        ncolors = len(uniq)
+    cells: list[list[int]] = [[] for _ in range(ncolors)]
     for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
+        cells[colors[v]].append(v)
+    return cells
 
 
-def _canonical_perm(g: Graph) -> list[int]:
-    """Permutation (position -> original vertex) minimizing the bit string.
+def _canonical_search(
+    g: Graph, max_n: int | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """The leaves (position -> original vertex) of the least bit string, and
+    its columns.
 
     Column j of the relabeled adjacency matrix (entries against positions
     0..j-1, most significant first) is minimized position by position over
     all permutations that fill refinement cells in order.  Ties fan out;
-    twin vertices are explored once.
+    twin vertices are explored once.  Every leaf that reaches the least
+    columns is returned, the first found first.  cols[1..n-1] are graph6's
+    column-major upper triangle, so they are the label's body.
     """
+    cap = CANON_MAX_N if max_n is None else max_n
+    if g.n > cap:
+        raise ValueError(f"canonical labeling capped at order {cap}, got {g.n}")
     n = g.n
     adj = g.adj
-    cells = _refine_cells(g)
-
     best_cols: list[int] = []
-    best_perm: list[int] = []
-    found = False
+    leaves: list[list[int]] = []
     perm: list[int] = []
     cols: list[int] = []
 
     def rec(ci: int, rem: list[list[int]]) -> None:
-        nonlocal found
         j = len(perm)
-        if found:
+        tight = False
+        if leaves:
             head = best_cols[:j]
             if cols > head:
                 return
             tight = cols == head
-        else:
-            tight = False
         if j == n:
-            if not found or cols < best_cols:
+            if not tight:
                 best_cols[:] = cols
-                best_perm[:] = perm
-                found = True
+                leaves.clear()
+            leaves.append(perm[:])
             return
         while not rem[ci]:
             ci += 1
@@ -106,37 +123,33 @@ def _canonical_perm(g: Graph) -> list[int]:
             for u in perm:
                 col = col << 1 | (av >> u & 1)
             scored.append((col, v))
-        mincol = min(scored)[0]
+        scored.sort()
+        mincol = scored[0][0]
         if tight and mincol > best_cols[j]:
             return
-        chosen = []
-        twins: list[int] = []
-        for col, v in sorted(scored):
+        chosen: list[int] = []
+        for col, v in scored:
             if col != mincol:
                 break
             key_closed = adj[v] | 1 << v
-            if any(adj[u] == adj[v] or (adj[u] | 1 << u) == key_closed for u in twins):
-                continue
-            twins.append(v)
-            chosen.append(v)
+            if not any(adj[u] == adj[v] or (adj[u] | 1 << u) == key_closed for u in chosen):
+                chosen.append(v)
         for v in chosen:
-            nrem = [c if v not in c else [u for u in c if u != v] for c in rem]
+            nrem = rem.copy()
+            nrem[ci] = [u for u in rem[ci] if u != v]
             perm.append(v)
             cols.append(mincol)
             rec(ci, nrem)
             perm.pop()
             cols.pop()
 
-    rec(0, cells)
-    return best_perm
+    rec(0, _refine_cells(g))
+    return leaves, best_cols
 
 
 def canonical_form(g: Graph, max_n: int | None = None) -> Graph:
     """A canonical isomorph of g (same graph for all relabelings of g)."""
-    cap = CANON_MAX_N if max_n is None else max_n
-    if g.n > cap:
-        raise ValueError(f"canonical labeling capped at order {cap}, got {g.n}")
-    perm = _canonical_perm(g)
+    perm = _canonical_search(g, max_n)[0][0]
     rows = [0] * g.n
     for i, v in enumerate(perm):
         av = g.adj[v]
@@ -148,7 +161,7 @@ def canonical_form(g: Graph, max_n: int | None = None) -> Graph:
 
 def canonical_label(g: Graph, max_n: int | None = None) -> str:
     """Canonical graph6 string; equal labels iff isomorphic graphs."""
-    return write_graph6(canonical_form(g, max_n))
+    return _graph6_of_columns(_canonical_search(g, max_n)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +182,67 @@ def _new_vertex_has_min_key(rows: list[int]) -> bool:
     )
 
 
+def _automorphism_generators(g: Graph) -> list[list[int]]:
+    """Permutations (vertex -> vertex) that generate a subgroup of Aut(g):
+    tau sigma^-1 for every leaf tau of g's canonical search that ties its
+    first leaf sigma, and the swap of each vertex with its least twin (the
+    search explores twins once, so it finds no leaf for that swap)."""
+    adj = g.adj
+    leaves = _canonical_search(g)[0]
+    gens = [[t for _, t in sorted(zip(leaves[0], tau))] for tau in leaves[1:]]
+    for v in range(g.n):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                gens.append([v if w == u else u if w == v else w for w in range(g.n)])
+                break
+    return gens
+
+
+def _orbit_least_masks(g: Graph) -> list[int]:
+    """The least vertex set of each orbit of vertex sets of g under the group
+    that ``_automorphism_generators`` generates, in increasing order."""
+    size = 1 << g.n
+    images = []  # per generator: vertex set -> its image
+    for gen in _automorphism_generators(g):
+        img = [0] * size
+        for x in range(1, size):
+            low = x & -x
+            img[x] = img[x ^ low] | 1 << gen[low.bit_length() - 1]
+        assert all(img[g.adj[v]] == g.adj[gen[v]] for v in range(g.n)), gen
+        images.append(img)
+    seen = bytearray(size)
+    least = []
+    for mask in range(size):
+        if not seen[mask]:
+            least.append(mask)
+            seen[mask] = 1
+            orbit = [mask]
+            for x in orbit:  # grows while it is walked
+                for img in images:
+                    if not seen[img[x]]:
+                        seen[img[x]] = 1
+                        orbit.append(img[x])
+    return least
+
+
 @functools.lru_cache(maxsize=None)
 def _iso_classes(n: int) -> tuple[str, ...]:
     # Grow order n from order n-1 by attaching a new vertex, then dedupe by
-    # canonical label.  A child is labelled only if its new vertex minimises
-    # the invariant key (degree, sorted neighbour degrees).  Completeness:
-    # every order-n graph G has a vertex v of minimal key; G - v is
-    # isomorphic to a listed parent P, and the child of P built from the
-    # image of N(v) is isomorphic to G with the new vertex in v's place, so
-    # its key is minimal too and the child is kept.
+    # canonical label.  A child is labelled only if its neighbourhood is the
+    # least of its orbit and its new vertex minimises the invariant key
+    # (degree, sorted neighbour degrees).  Completeness: every order-n graph
+    # G has a vertex v of minimal key; G - v is isomorphic to a listed
+    # parent P, and the child of P built from the image of N(v) is
+    # isomorphic to G with the new vertex in v's place, so its key is
+    # minimal too.  The least mask of that image's orbit gives a child
+    # isomorphic to it by a map fixing the new vertex, which is kept.
     if n == 1:
         return (write_graph6(Graph(1)),)
     new = n - 1
     out: set[str] = set()
     for lab in _iso_classes(n - 1):
-        adj = parse_graph6(lab).adj
+        parent = parse_graph6(lab)
+        adj = parent.adj
         # at_deg[k]: parent vertices of degree k.  A new vertex of degree d
         # is not beaten on degree alone iff no parent vertex has degree
         # below d - 1 and every parent vertex of degree d - 1 is adjacent
@@ -192,7 +251,7 @@ def _iso_classes(n: int) -> tuple[str, ...]:
         for v, row in enumerate(adj):
             at_deg[row.bit_count()] |= 1 << v
         max_d = min(row.bit_count() for row in adj) + 1
-        for nbhd in range(1 << new):
+        for nbhd in _orbit_least_masks(parent):
             d = nbhd.bit_count()
             if d > max_d or (d and at_deg[d - 1] & ~nbhd):
                 continue

@@ -1,5 +1,6 @@
 """Canonical labeling and isomorph-free enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from psdforce import (
     parse_graph6,
     write_graph6,
 )
-from psdforce.families import cycle, path
+from psdforce.families import complete, cycle, path
 
 from _oracles import ref_isomorphic
 
@@ -102,8 +103,65 @@ def test_enumeration_labels_few_children(monkeypatch):
     canon._iso_classes.cache_clear()
     monkeypatch.setattr(canon, "canonical_label", counted)
     assert len(canon._iso_classes(7)) == 1044
-    # all-neighbourhood growth labels 11,290 children for orders 1..7
-    assert calls <= 2376
+    # all-neighbourhood growth labels 11,290 children for orders 1..7, the
+    # key test alone 2,376, and one neighbourhood per orbit 2+4+11+34+157+1078
+    assert calls <= 1286
+
+
+def _classes_up_to_7(classes_by_order):
+    graphs = [parse_graph6(lab) for labels in classes_by_order.values() for lab in labels]
+    return graphs + list(enumerate_graphs(7))
+
+
+def test_label_is_graph6_of_canonical_form(classes_by_order):
+    graphs = _classes_up_to_7(classes_by_order)
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(8, 10)
+        g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(_relabel(g, perm))
+    for g in graphs:
+        assert canonical_label(g) == write_graph6(canonical_form(g))
+
+
+# An asymmetric graph of order 6: the path 0-1-2-3-4 plus vertex 5 on 2 and 3.
+ASYMMETRIC = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+
+
+# (name, graph, number of orbits of its vertex sets under Aut)
+ORBIT_COUNTS = [
+    # binary bracelets of length 6..9 (OEIS A000029)
+    *[(f"cycle{m}", cycle(m), k) for m, k in [(6, 13), (7, 18), (8, 30), (9, 46)]],
+    ("path5", path(5), 20),
+    ("path7", path(7), 72),
+    *[(f"complete{m}", complete(m), m + 1) for m in range(1, 9)],
+    *[(f"empty{m}", Graph(m), m + 1) for m in range(1, 9)],
+    ("asymmetric6", ASYMMETRIC, 64),
+]
+
+
+@pytest.mark.parametrize("g,kept", [c[1:] for c in ORBIT_COUNTS], ids=[c[0] for c in ORBIT_COUNTS])
+def test_one_neighbourhood_per_orbit(g, kept):
+    least = canon._orbit_least_masks(g)
+    assert least == sorted(set(least)) and least[0] == 0
+    assert len(least) == kept
+
+
+def test_asymmetric_fixture_has_no_automorphism():
+    autos = [
+        p for p in itertools.permutations(range(6)) if _relabel(ASYMMETRIC, p) == ASYMMETRIC
+    ]
+    assert autos == [tuple(range(6))]
+
+
+def test_generators_are_automorphisms(classes_by_order):
+    for g in _classes_up_to_7(classes_by_order):
+        for gen in canon._automorphism_generators(g):
+            assert sorted(gen) == list(range(g.n))
+            assert _relabel(g, gen) == g
 
 
 def test_connected_class_counts():
@@ -118,8 +176,12 @@ def test_enumeration_is_sorted_and_canonical(classes_by_order):
 
 
 def test_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as form_exc:
         canonical_form(path(11))
+    with pytest.raises(ValueError) as label_exc:
+        canonical_label(path(11))
+    assert str(label_exc.value) == str(form_exc.value)
+    assert str(form_exc.value) == "canonical labeling capped at order 10, got 11"
     with pytest.raises(ValueError):
         list(enumerate_graphs(9))
     with pytest.raises(ValueError):

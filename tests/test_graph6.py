@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdforce import Graph, Graph6Error, parse_graph6, read_graph6_lines, write_graph6
+from psdforce import (
+    Graph,
+    Graph6Error,
+    enumerate_graphs,
+    parse_graph6,
+    read_graph6_lines,
+    write_graph6,
+)
 from psdforce.families import complete, empty_graph, path
 
 
@@ -24,7 +31,8 @@ def test_known_encodings(text, graph):
 
 
 def test_round_trip_all_small_classes(classes_by_order):
-    for labels in classes_by_order.values():
+    order7 = [write_graph6(g) for g in enumerate_graphs(7)]
+    for labels in [*classes_by_order.values(), order7]:
         for lab in labels:
             assert write_graph6(parse_graph6(lab)) == lab
 
@@ -51,26 +59,35 @@ def test_long_header_starts_at_63():
     assert write_graph6(empty_graph(63)).startswith("~")
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "\x1c",  # below the printable range
-        "\x7f",
-        "B",  # body truncated
-        "Bww",  # trailing data
-        "AO",  # nonzero padding bits after the single n=2 edge bit
-    ],
-)
-def test_parse_rejects_malformed(bad):
-    with pytest.raises(Graph6Error):
+# (text, message, byte offset) of every way parse_graph6 rejects its input
+MALFORMED = [
+    ("", "empty graph6 string", 0),
+    ("\x1c", "character '\\x1c' outside graph6 range", 0),  # below the range
+    ("\x7f", "character '\\x7f' outside graph6 range", 0),
+    ("~~", "graph order beyond supported range", 0),
+    ("~?", "truncated extended-order header", 2),
+    ("~???", "extended header used for small order", 0),
+    ("?", "graph order must be >= 1, got 0", 0),
+    ("B", "truncated graph6 body", 1),
+    ("Bww", "trailing data after graph6 body", 2),
+    ("AO", "nonzero padding bits", 1),  # after the single n=2 edge bit
+    ("D?@", "nonzero padding bits", 2),  # n=5: 10 bits in two bytes
+]
+
+
+@pytest.mark.parametrize("bad,message,offset", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_parse_rejects_malformed(bad, message, offset):
+    with pytest.raises(Graph6Error) as exc:
         parse_graph6(bad)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"{message} (byte {offset})"
 
 
 def test_parse_error_reports_offset():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("Bw\x05")
-    assert "2" in str(exc.value) or "offset" in str(exc.value).lower()
+    assert exc.value.offset == 2
+    assert str(exc.value) == "character '\\x05' outside graph6 range (byte 2)"
 
 
 def test_read_lines_skips_blanks_and_comments():
