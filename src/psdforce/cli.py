@@ -315,7 +315,8 @@ def cmd_extremal(args) -> int:
         return 0
     n, k = args.zeta
     try:
-        value, witnesses = zeta(n, k)
+        value, witnesses = zeta(n, k, jobs=args.jobs,
+                                checkpoint_dir=args.checkpoint)
     except ValueError as e:
         raise CliError(str(e)) from None
     if args.json:

@@ -1,8 +1,11 @@
 """Throttling, complement-sum bounds, and exhaustive extremal searches.
 
-Searches stream one :class:`ExtremalRecord` per isomorphism class in
-deterministic order (order, then canonical label).  Long runs can checkpoint
-per order to JSON-lines files and resume.
+Every exhaustive search reads one invariant table: one :class:`ExtremalRecord`
+(Z+, pt+) per isomorphism class, in deterministic order (order, then
+canonical label), computed once per order.  ``invariant_table``,
+``classify_extremal``, ``zeta`` and ``ng_search`` all read it, so with a
+checkpoint directory they share one ``invariants.nN.jsonl`` file per order and
+resume from it.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from itertools import takewhile
 from multiprocessing import Pool
 from typing import Iterable
 
+from . import canon
 from .canon import enumerate_graphs
 from .engine import _budgeted_scans, _z_and_pt
-from .graph import Graph, complement, parse_graph6, vlist, write_graph6
+from .graph import Graph, complement, parse_graph6, write_graph6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtremalRecord:
     """One graph's exact invariants, JSON-lines ready."""
 
@@ -28,32 +32,15 @@ class ExtremalRecord:
     n: int
     z_plus: int
     pt_plus: int
-    th_plus: int | None = None
-    ng_pt: int | None = None
-    ng_z: int | None = None
 
     def to_json(self) -> str:
-        doc: dict = {"g6": self.g6, "n": self.n, "z+": self.z_plus, "pt+": self.pt_plus}
-        if self.th_plus is not None:
-            doc["th+"] = self.th_plus
-        if self.ng_pt is not None:
-            doc["ng_pt"] = self.ng_pt
-        if self.ng_z is not None:
-            doc["ng_z"] = self.ng_z
+        doc = {"g6": self.g6, "n": self.n, "z+": self.z_plus, "pt+": self.pt_plus}
         return json.dumps(doc, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "ExtremalRecord":
         doc = json.loads(line)
-        return cls(
-            g6=doc["g6"],
-            n=doc["n"],
-            z_plus=doc["z+"],
-            pt_plus=doc["pt+"],
-            th_plus=doc.get("th+"),
-            ng_pt=doc.get("ng_pt"),
-            ng_z=doc.get("ng_z"),
-        )
+        return cls(g6=doc["g6"], n=doc["n"], z_plus=doc["z+"], pt_plus=doc["pt+"])
 
 
 def graph_record(g: Graph, g6: str | None = None) -> ExtremalRecord:
@@ -149,19 +136,6 @@ def _record_for_label(lab: str) -> ExtremalRecord:
     return graph_record(parse_graph6(lab), g6=lab)
 
 
-def _ng_record_for_label(lab: str) -> ExtremalRecord:
-    g = parse_graph6(lab)
-    rec = graph_record(g, g6=lab)
-    s = ng_sums(g)
-    rec.ng_pt = s.pt_sum
-    rec.ng_z = s.z_sum
-    return rec
-
-
-def _checkpoint_file(checkpoint_dir: str, task: str, n: int) -> str:
-    return os.path.join(checkpoint_dir, f"{task}.n{n}.jsonl")
-
-
 def _load_checkpoint(path: str) -> list[ExtremalRecord] | None:
     if not os.path.exists(path):
         return None
@@ -188,13 +162,9 @@ def _write_checkpoint(path: str, records: list[ExtremalRecord]) -> None:
 
 
 def _records_for_orders(
-    orders: Iterable[int],
-    worker,
-    task: str,
-    jobs: int = 1,
-    checkpoint_dir: str | None = None,
+    orders: Iterable[int], jobs: int = 1, checkpoint_dir: str | None = None
 ) -> list[ExtremalRecord]:
-    """Records of every class of each order in ``orders``, order by order.
+    """The invariant table's records of each order in ``orders``, order by order.
 
     An order with a complete checkpoint is read from it; any other order is
     computed, then checkpointed.  With ``jobs`` > 1 one ``Pool`` is opened
@@ -207,7 +177,7 @@ def _records_for_orders(
         for n in orders:
             path = None
             if checkpoint_dir is not None:
-                path = _checkpoint_file(checkpoint_dir, task, n)
+                path = os.path.join(checkpoint_dir, f"invariants.n{n}.jsonl")
                 cached = _load_checkpoint(path)
                 if cached is not None:
                     out.extend(cached)
@@ -216,9 +186,9 @@ def _records_for_orders(
             if jobs > 1:
                 if pool is None:
                     pool = stack.enter_context(Pool(jobs))
-                records = pool.map(worker, labels, chunksize=64)
+                records = pool.map(_record_for_label, labels, chunksize=64)
             else:
-                records = [worker(lab) for lab in labels]
+                records = [_record_for_label(lab) for lab in labels]
             if path is not None:
                 os.makedirs(checkpoint_dir, exist_ok=True)
                 _write_checkpoint(path, records)
@@ -230,9 +200,7 @@ def invariant_table(
     max_n: int, *, jobs: int = 1, checkpoint_dir: str | None = None
 ) -> list[ExtremalRecord]:
     """Z and pt for every isomorphism class of order 1..max_n (max 8)."""
-    return _records_for_orders(
-        range(1, max_n + 1), _record_for_label, "invariants", jobs, checkpoint_dir
-    )
+    return _records_for_orders(range(1, max_n + 1), jobs, checkpoint_dir)
 
 
 def classify_extremal(
@@ -262,10 +230,13 @@ def classify_extremal(
     return out
 
 
-def zeta(n: int, k: int) -> tuple[int, list[str]]:
+def zeta(
+    n: int, k: int, *, jobs: int = 1, checkpoint_dir: str | None = None
+) -> tuple[int, list[str]]:
     """Largest propagation time among order-n graphs with Z = k, with witnesses.
 
-    Exhaustive over isomorphism classes (n <= 8).  Raises ValueError if no
+    Exhaustive over isomorphism classes (n <= 8), read from the order-n
+    invariant table; witnesses come in table order.  Raises ValueError if no
     order-n graph has forcing number k.  The value never exceeds
     ceil((n-k)/2) (asserted).
     """
@@ -273,15 +244,14 @@ def zeta(n: int, k: int) -> tuple[int, list[str]]:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     best = -1
     witnesses: list[str] = []
-    for g in enumerate_graphs(n):
-        z, pt, _ = _z_and_pt(g)
-        if z != k:
+    for rec in _records_for_orders((n,), jobs, checkpoint_dir):
+        if rec.z_plus != k:
             continue
-        if pt > best:
-            best = pt
-            witnesses = [write_graph6(g)]
-        elif pt == best:
-            witnesses.append(write_graph6(g))
+        if rec.pt_plus > best:
+            best = rec.pt_plus
+            witnesses = [rec.g6]
+        elif rec.pt_plus == best:
+            witnesses.append(rec.g6)
     if best < 0:
         raise ValueError(f"no graph of order {n} has forcing number {k}")
     assert best <= (n - k + 1) // 2
@@ -306,15 +276,26 @@ class NGSearchResult:
 
 
 def ng_search(n: int, *, jobs: int = 1, checkpoint_dir: str | None = None) -> NGSearchResult:
-    """Exact complement-sum survey of every order-n isomorphism class."""
-    records = _records_for_orders((n,), _ng_record_for_label, "ng", jobs, checkpoint_dir)
+    """Exact complement-sum survey of every order-n isomorphism class.
+
+    Both terms of each sum come from the order-n invariant table.
+    Complementation is an involution on classes, so one canonical label
+    pairs a class with its complement and fills in both sums.
+    """
+    records = _records_for_orders((n,), jobs, checkpoint_dir)
+    pt = {rec.g6: rec.pt_plus for rec in records}
+    sums: dict[str, int] = {}
+    for lab in pt:
+        if lab not in sums:
+            co = canon.canonical_label(complement(parse_graph6(lab)))
+            sums[lab] = sums[co] = pt[lab] + pt[co]
     hist: dict[int, int] = {}
     attaining = []
     threshold = n // 2 + 2
-    for rec in records:
-        hist[rec.ng_pt] = hist.get(rec.ng_pt, 0) + 1
-        if rec.ng_pt == threshold:
-            attaining.append(rec.g6)
+    for lab, pt_sum in sums.items():
+        hist[pt_sum] = hist.get(pt_sum, 0) + 1
+        if pt_sum == threshold:
+            attaining.append(lab)
     return NGSearchResult(
         n=n,
         histogram=dict(sorted(hist.items())),

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from psdforce import cli
+from psdforce import cli, extremal
 from psdforce.cli import build_parser, main
 from psdforce.migration import ConsistencyError
 
@@ -213,6 +213,30 @@ def test_ng_json(capsys):
         '{"n":4,"histogram":{"1":2,"2":8,"4":1},"max_sum":4,'
         '"threshold":4,"attained":true,"attaining":["CL"]}\n'
     )
+
+
+def test_surveys_resume_from_the_catalog_checkpoint(capsys, monkeypatch, tmp_path):
+    # extremal --k 3 leaves the order 1..6 tables in D; ng and zeta at
+    # order 6 read them back and compute no invariants
+    d = str(tmp_path)
+    cold_ng = run(capsys, "ng", "--n", "6")
+    cold_zeta = run(capsys, "extremal", "--zeta", "6", "2")
+    assert run(capsys, "extremal", "--k", "3", "--checkpoint", d)[0] == 0
+    # a complete-looking file of the old per-survey layout is not read
+    with open(os.path.join(d, "ng.n6.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write('{"g6":"E???","n":6,"z+":6,"pt+":0,"ng_pt":9,"ng_z":9}\n{"done":1}\n')
+    calls = []
+    real = extremal._record_for_label
+
+    def counting(lab):
+        calls.append(lab)
+        return real(lab)
+
+    monkeypatch.setattr(extremal, "_record_for_label", counting)
+    assert run(capsys, "ng", "--n", "6", "--checkpoint", d)[:2] == cold_ng[:2]
+    warm_zeta = run(capsys, "extremal", "--zeta", "6", "2", "--checkpoint", d)
+    assert warm_zeta[:2] == cold_zeta[:2]
+    assert calls == []
 
 
 def test_jobs_rejected_below_one_and_clamped(capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """Throttling, complement sums, catalogs, and checkpointed searches."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from psdforce import CapExceededError, extremal, vset
+from psdforce.canon import canonical_label, enumerate_graphs
+from psdforce.engine import _z_and_pt
 from psdforce.extremal import (
     ExtremalRecord,
     classify_extremal,
@@ -17,6 +20,7 @@ from psdforce.extremal import (
     zeta,
 )
 from psdforce.families import complete, empty_graph, path
+from psdforce.graph import complement, parse_graph6, write_graph6
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -27,15 +31,20 @@ def test_record_round_trip():
     doc = json.loads(rec.to_json())
     assert doc == {"g6": "CL", "n": 4, "z+": 1, "pt+": 2}
     assert ExtremalRecord.from_json(rec.to_json()) == rec
-    rec = ExtremalRecord(g6="CL", n=4, z_plus=1, pt_plus=2, th_plus=3, ng_pt=4, ng_z=2)
-    assert ExtremalRecord.from_json(rec.to_json()) == rec
+
+
+def test_record_is_frozen():
+    # catalogs hand out the table's own records; editing one must not
+    # silently change the table
+    rec = classify_extremal(1)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.pt_plus = 0
 
 
 def test_graph_record():
     # records keep the caller's labeling; catalogs canonicalize upstream
     rec = graph_record(path(4))
     assert (rec.g6, rec.n, rec.z_plus, rec.pt_plus) == ("Ch", 4, 1, 2)
-    assert rec.th_plus is None
 
 
 def test_throttling_spot_values():
@@ -134,6 +143,57 @@ def test_zeta_rejects_bad_args():
         zeta(3, 0)
     with pytest.raises(ValueError):
         zeta(3, 4)
+
+
+def _brute_force_zeta(n, k):
+    # reference: scan every class of the order afresh, no invariant table
+    best = -1
+    witnesses = []
+    for g in enumerate_graphs(n):
+        z, pt, _ = _z_and_pt(g)
+        if z != k:
+            continue
+        if pt > best:
+            best = pt
+            witnesses = [write_graph6(g)]
+        elif pt == best:
+            witnesses.append(write_graph6(g))
+    return best, witnesses
+
+
+def test_zeta_matches_brute_force(tmp_path):
+    ck = str(tmp_path)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            best, witnesses = _brute_force_zeta(n, k)
+            if best < 0:
+                with pytest.raises(ValueError, match="no graph of order"):
+                    zeta(n, k, checkpoint_dir=ck)
+            else:
+                assert zeta(n, k, checkpoint_dir=ck) == (best, witnesses)
+
+
+def test_ng_search_matches_per_class_sums(classes_by_order):
+    for n, labels in classes_by_order.items():
+        sums = {lab: ng_sums(parse_graph6(lab)).pt_sum for lab in labels}
+        hist = {}
+        for s in sums.values():
+            hist[s] = hist.get(s, 0) + 1
+        threshold = n // 2 + 2
+        res = ng_search(n)
+        assert res.histogram == hist
+        assert res.attaining == tuple(
+            sorted(lab for lab, s in sums.items() if s == threshold)
+        )
+
+
+def test_complement_labels_are_an_involution():
+    table = invariant_table(7)
+    for n in range(1, 8):
+        labels = [rec.g6 for rec in table if rec.n == n]
+        co = {lab: canonical_label(complement(parse_graph6(lab))) for lab in labels}
+        assert set(co.values()) == set(labels)
+        assert all(co[co[lab]] == lab for lab in labels)
 
 
 def test_ng_search_order4():
