@@ -11,6 +11,7 @@ rejected command line, and 3 an internal consistency failure (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -299,8 +300,11 @@ def cmd_extremal(args) -> int:
         raise CliError("choose exactly one of --k or --zeta")
     t0 = time.monotonic()
     if args.k is not None:
-        records = classify_extremal(args.k, jobs=args.jobs,
-                                    checkpoint_dir=args.checkpoint)
+        try:
+            records = classify_extremal(args.k, jobs=args.jobs,
+                                        checkpoint_dir=args.checkpoint)
+        except ValueError as e:
+            raise CliError(str(e)) from None
         if args.json:
             for rec in records:
                 print(rec.to_json())
@@ -331,7 +335,10 @@ def cmd_extremal(args) -> int:
 
 def cmd_ng(args) -> int:
     t0 = time.monotonic()
-    res = ng_search(args.n, jobs=args.jobs, checkpoint_dir=args.checkpoint)
+    try:
+        res = ng_search(args.n, jobs=args.jobs, checkpoint_dir=args.checkpoint)
+    except ValueError as e:
+        raise CliError(str(e)) from None
     if args.json:
         print(_jline({
             "n": res.n,
@@ -456,19 +463,25 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# A cache, not a global: perfbench empties psdforce's caches before each pass,
+# so a pass builds the parser once, as a fresh process does, and a traced pass
+# builds it under the tracer, binding set_defaults(fn=cmd_*) to traced cmd_*.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line and return its exit status; callable repeatedly."""
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
+    except (CliError, NoForcingSetError) as e:
         _note(f"error: {e}")
         return 1
     except ConsistencyError as e:  # an implementation bug, not a user error
         _note(f"internal error: {e}")
         return 3
-    except (NoForcingSetError, ValueError) as e:
-        _note(f"error: {e}")
-        return 1
 
 
 if __name__ == "__main__":

@@ -48,6 +48,13 @@ never interacts: every component of a later white set lies inside one
 component of G - B, and a blue vertex's force into it depends on that
 component alone.  The run from V - C does exactly what B does inside
 G[C ∪ B], so B forces G exactly when every per-component run completes.
+
+The same locality stops a propagation at its first dead component: with B
+the blue set of some round, a component C of G - B into which no vertex of
+B forces.  All of C's outside neighbours are in B, so until a vertex of C
+turns blue, C stays a white component with the same blue neighbours, whose
+forces into C depend on C alone: there are none.  A vertex of C turns blue
+only by such a force, so none ever does, and the run never completes.
 """
 
 from __future__ import annotations
@@ -122,58 +129,45 @@ class PropagationSchedule:
 # core rule
 
 
-def _force_round(adj: tuple[int, ...], blue: int, full: int) -> int:
-    """Mask of every vertex forceable in one synchronous step.
-
-    Walks the white components one at a time; a blue neighbour u of a
-    component C forces the single vertex of adj[u] & C when there is one
-    (never none: u has a neighbour in C).
-    """
-    forced = 0
-    rem = full & ~blue
-    while rem:
-        comp = frontier = rem & -rem
-        rem ^= comp
-        nbrs = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= adj[low.bit_length() - 1]
-            nbrs |= nxt
-            frontier = nxt & rem
-            rem ^= frontier
-            comp |= frontier
-        bm = blue & nbrs
-        while bm:
-            low = bm & -bm
-            bm ^= low
-            x = adj[low.bit_length() - 1] & comp
-            if not x & (x - 1):
-                forced |= x
-    return forced
-
-
 def _pt_mask(
     adj: tuple[int, ...], n: int, blue: int, limit: int | None = None
 ) -> int | None:
     """Propagation time of a blue mask, or None if it is not a forcing set.
 
     With ``limit``, also None when the set needs more than ``limit`` rounds.
-    Without it the limit is n, which no forcing set reaches.
+    A white component that receives no force ends the run (module docstring).
     """
     full = (1 << n) - 1
-    if limit is None:
-        limit = n
     t = 0
     while blue != full:
         if t == limit:
             return None
-        f = _force_round(adj, blue, full)
-        if not f:
-            return None
-        blue |= f
+        forced = 0
+        rem = full & ~blue
+        while rem:
+            comp = frontier = rem & -rem
+            rem ^= comp
+            nbrs = 0
+            while frontier:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    nxt |= adj[low.bit_length() - 1]
+                nbrs |= nxt
+                frontier = nxt & rem
+                rem ^= frontier
+                comp |= frontier
+            bm = blue & nbrs
+            while bm:
+                low = bm & -bm
+                bm ^= low
+                x = adj[low.bit_length() - 1] & comp
+                if not x & (x - 1):  # one vertex: u has a neighbour in comp
+                    forced |= x
+            if not forced & comp:
+                return None
+        blue |= forced
         t += 1
     return t
 

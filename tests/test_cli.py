@@ -3,7 +3,9 @@
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,10 @@ from psdforce.migration import ConsistencyError
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a rejected command line, or --help
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -170,6 +175,66 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: balancing pass")
+
+
+def test_survey_input_errors_are_user_errors(capsys):
+    assert run(capsys, "ng", "--n", "9") == (
+        1, "", "error: enumeration supports 1 <= n <= 8, got 9\n")
+    assert run(capsys, "extremal", "--k", "0") == (
+        1, "", "error: catalog supports 1 <= k <= 4, got 0\n")
+
+
+def test_other_value_errors_propagate(monkeypatch):
+    # a ValueError that no input check raised is a bug: it keeps its traceback
+    def broken(g, *, max_subsets=None):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "pt_plus", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["compute", "--family", "path:3"])
+
+
+# Each flag is followed by the same command without it, so a flag's value
+# left behind in the reused parser would show.
+REPEATED_COMMANDS = [
+    ["compute", "--family", "path:5", "--throttle"],
+    ["compute", "--family", "path:5"],
+    ["compute", "--g6", "DhC", "--max-subsets", "2", "--json"],
+    ["compute", "--g6", "DhC", "--json"],
+    ["verify-bounds", "--family", "path:6"],
+    ["compute", "--family", "path:3", "--max-subsets", "-1"],
+    ["verify-bounds", "--help"],
+    ["extremal", "--k", "0"],
+]
+
+
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # --help wraps to the terminal width
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = []
+    for argv in REPEATED_COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "psdforce.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [r[0] for r in fresh] == [0, 0, 1, 0, 0, 2, 0, 1]
+
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        reused = [run(capsys, *argv) for argv in REPEATED_COMMANDS]
+    finally:
+        cli._parser.cache_clear()
+    assert reused == fresh
+    assert len(builds) == 1
 
 
 def test_family_json(capsys):

@@ -254,13 +254,19 @@ def test_component_pt_rejects_non_forcing():
 def test_component_pt_detects_every_stall(classes_by_order):
     # the per-component runs alone tell a non-forcing set: component_pt
     # raises exactly when the oracle's propagation stalls, and otherwise
-    # its slowest component takes the oracle's whole-graph time
+    # its slowest component takes the oracle's whole-graph time; _pt_mask,
+    # which stops at the first component that receives no force, gives the
+    # oracle's time under every round limit
     for n, labels in classes_by_order.items():
         for lab in labels:
             g = parse_graph6(lab)
             adj = _adj(g)
             for blue in range(1 << n):
                 ref = ref_pt(adj, n, vlist(blue))
+                assert engine._pt_mask(g.adj, n, blue) == ref, (lab, vlist(blue))
+                for limit in range(n + 1):
+                    want = ref if ref is not None and ref <= limit else None
+                    assert engine._pt_mask(g.adj, n, blue, limit) == want
                 if ref is None:
                     with pytest.raises(NotForcingError, match="does not force"):
                         component_pt(g, blue)

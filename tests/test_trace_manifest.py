@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import psdforce
+from psdforce import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +35,21 @@ def test_trace_manifest_installs():
     finally:
         tracer.uninstall()
     assert psdforce.engine.pt_plus is before
+
+
+def test_trace_sees_the_command_layer(capsys):
+    # the parser binds set_defaults(fn=cmd_*) when it is built, so a parser
+    # built before the tracer was installed would call the unwrapped commands
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    cli._parser.cache_clear()
+    tracer.install()
+    try:
+        assert cli.main(["compute", "--family", "path:4", "--json"]) == 0
+    finally:
+        tracer.uninstall()
+        cli._parser.cache_clear()
+    assert capsys.readouterr().out == '{"g6":"Ch","n":4,"z+":1,"pt+":2,"witness":[1]}\n'
+    spans = tracer.summary()
+    assert spans["cli.cmd_compute"]["calls"] == 1
+    assert spans["cli.build_parser"]["calls"] == 1
