@@ -10,11 +10,12 @@ A set that never stalls is a forcing set.  There is no numeric sentinel for
 "never finishes": failed runs are reported as such, and the size-k optimum
 raises :class:`NoForcingSetError` when no size-k forcing set exists.
 
-Every exact optimum rests on one size-k scan, ``_scan_size_k``, whose result
-is memoised on the :class:`Graph` object it was asked about (the private
-``_scans`` slot).  Z+, pt+, pt+(G, k) and throttling on one object therefore
-scan each size once between them; an equal but distinct object starts
-empty.
+The engine's memos are bounded LRU caches keyed by graph value, so equal
+graphs share them.  Every exact optimum rests on one size-k scan,
+``_scan_size_k(g, k)``: Z+, pt+, pt+(G, k) and throttling scan each size
+once between them.  ``_set_time`` keeps the unlimited propagation time of
+one blue mask for every single-set question; the scans' round-limited
+``_pt_mask`` calls rarely repeat and are not kept.
 
 Each exact entry point has one budget per call, ``max_subsets`` sets
 propagated, and reaches its sizes through ``_budgeted_scans``.  Size k is
@@ -33,7 +34,7 @@ least 1 on each, so no set smaller than L(G), the sum over components C of
 max(1, degeneracy(C)), forces (``_z_lower_bound``).  The rule that sizes
 below the isolated-vertex count cannot force is the special case where each
 isolated vertex is a component counting 1.  Like the scans, L(G) is
-computed once per object.  The paper's own bound ceil((n - k)/2) is never
+computed once per graph.  The paper's own bound ceil((n - k)/2) is never
 used to limit a scan: the scans are what check it.
 
 Per-component times need no induced subgraph.  For a forcing set B and a
@@ -59,6 +60,7 @@ only by such a force, so none ever does, and the run never completes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -70,6 +72,8 @@ from typing import Iterable, Iterator
 from .graph import Graph, as_mask, components, induced_subgraph, vlist
 
 DEFAULT_MAX_SUBSETS = 10**6  # sets one exact search call may propagate
+_SCAN_MEMO_SIZE = 256  # (graph, k) scans and graph floors kept; each pins a Graph
+_SET_TIME_MEMO_SIZE = 1 << 12  # blue-mask times kept: all masks of an order-12 graph
 
 
 class CapExceededError(RuntimeError):
@@ -172,6 +176,12 @@ def _pt_mask(
     return t
 
 
+@functools.lru_cache(maxsize=_SET_TIME_MEMO_SIZE)
+def _set_time(adj: tuple[int, ...], n: int, blue: int) -> int | None:
+    """``_pt_mask(adj, n, blue)`` with no limit, memoised by value."""
+    return _pt_mask(adj, n, blue)
+
+
 def forceable(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
     """All valid forces (forcer, target) for the current blue set.
 
@@ -271,7 +281,7 @@ def propagate(g: Graph, initial: int | Iterable[int]) -> PropagationSchedule:
 
 
 def is_psd_forcing_set(g: Graph, blue: int | Iterable[int]) -> bool:
-    return _pt_mask(g.adj, g.n, as_mask(g, blue)) is not None
+    return _set_time(g.adj, g.n, as_mask(g, blue)) is not None
 
 
 @dataclass(frozen=True)
@@ -312,14 +322,13 @@ def forcing_forest(g: Graph, schedule: PropagationSchedule) -> ForcingForest:
 # exact optima
 
 
-def _isolated_mask(g: Graph) -> int:
-    mask = 0
-    for v, row in enumerate(g.adj):
-        if not row:
-            mask |= 1 << v
-    return mask
+@functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
+def _scan_floor(g: Graph) -> tuple[int, int]:
+    """(mask of the isolated vertices, L(G)): where every scan starts."""
+    return sum(1 << v for v, row in enumerate(g.adj) if not row), _z_lower_bound(g)
 
 
+@functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
 def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
     """Best (pt, witness_mask) over size-k blue sets, or None if none forces.
 
@@ -330,15 +339,10 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
     the first strict improvement: after a forcing set of time t, later sets
     are propagated for at most t - 1 rounds, and a time of 1 ends the scan
     (only the full set is faster).  Isolated vertices can never be forced,
-    so only supersets of them are scanned.  The result is memoised on ``g``.
+    so only supersets of them are scanned.
     """
-    memo = g._scans
-    if memo is None:
-        memo = g._scans = {}
-    elif k in memo:
-        return memo[k]
     adj, n = g.adj, g.n
-    iso = _isolated_mask(g)
+    iso = _scan_floor(g)[0]
     niso = iso.bit_count()
     best: tuple[int, int] | None = None
     if k >= niso:
@@ -352,7 +356,6 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
                 if pt <= 1:  # only the full set is faster, and it has size n
                     break
                 limit = pt - 1
-    memo[k] = best
     return best
 
 
@@ -395,13 +398,11 @@ def _budgeted_scans(
     """Yield (k, ``_scan_size_k(g, k)``) for each k, charging one budget.
 
     Sizes below ``_z_lower_bound(g)`` yield None unscanned and uncharged.
-    See the module docstring for the charge.  The isolated-vertex count and
-    the lower bound are computed once per object (the ``_floor`` slot).
+    See the module docstring for the charge, which memoised sizes pay too.
     """
     cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
-    if g._floor is None:
-        g._floor = (_isolated_mask(g).bit_count(), _z_lower_bound(g))
-    niso, floor = g._floor
+    iso, floor = _scan_floor(g)
+    niso = iso.bit_count()
     spent = 0
     for k in ks:
         if k < floor:
@@ -473,7 +474,7 @@ def component_pt(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
     out = []
     for comp in components(g, mask):
         # same rounds as B inside G[comp + B]: see the module docstring
-        pt = _pt_mask(adj, n, g.full_mask & ~comp)
+        pt = _set_time(adj, n, g.full_mask & ~comp)
         if pt is None:
             raise NotForcingError("blue set does not force the graph")
         out.append((comp, pt))

@@ -136,20 +136,23 @@ def _record_for_label(lab: str) -> ExtremalRecord:
     return graph_record(parse_graph6(lab), g6=lab)
 
 
-def _load_checkpoint(path: str) -> list[ExtremalRecord] | None:
+def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
+    """The records of a complete order-n checkpoint, or None to recompute.
+
+    None also when a record does not parse or has an order other than n.
+    """
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        return None
     try:
-        tail = json.loads(lines[-1])
-    except json.JSONDecodeError:
+        tail = json.loads(lines[-1]) if lines else None
+        if not isinstance(tail, dict) or tail.get("done") != len(lines) - 1:
+            return None  # incomplete run
+        records = [ExtremalRecord.from_json(ln) for ln in lines[:-1]]
+    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
         return None
-    if not isinstance(tail, dict) or tail.get("done") != len(lines) - 1:
-        return None  # incomplete run; recompute this order
-    return [ExtremalRecord.from_json(ln) for ln in lines[:-1]]
+    return records if all(rec.n == n for rec in records) else None
 
 
 def _write_checkpoint(path: str, records: list[ExtremalRecord]) -> None:
@@ -178,7 +181,7 @@ def _records_for_orders(
             path = None
             if checkpoint_dir is not None:
                 path = os.path.join(checkpoint_dir, f"invariants.n{n}.jsonl")
-                cached = _load_checkpoint(path)
+                cached = _load_checkpoint(path, n)
                 if cached is not None:
                     out.extend(cached)
                     continue

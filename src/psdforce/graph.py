@@ -32,12 +32,11 @@ class Graph:
 
     Adjacency is one bitmask per vertex: bit v of ``adj[u]`` is set iff uv is
     an edge.  Loops and multi-edges are rejected at construction.
-    ``full_mask`` is the mask of all n vertices.  ``_scans`` and ``_floor``
-    are the engine's per-object memos of size-k scans and of the scan floor
-    (None until first needed); they are not part of the graph's value.
+    ``full_mask`` is the mask of all n vertices.  Equal graphs hash alike,
+    so the engine's memos, keyed by value, serve every equal object.
     """
 
-    __slots__ = ("n", "adj", "full_mask", "_scans", "_floor")
+    __slots__ = ("n", "adj", "full_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -53,7 +52,6 @@ class Graph:
         self.n = n
         self.adj = tuple(rows)
         self.full_mask = (1 << n) - 1
-        self._scans = self._floor = None
 
     @classmethod
     def _from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -63,7 +61,6 @@ class Graph:
         g.adj = tuple(rows)
         g.n = len(g.adj)
         g.full_mask = (1 << g.n) - 1
-        g._scans = g._floor = None
         return g
 
     @property

@@ -15,13 +15,9 @@ the overall time at or below ceil((n-k)/2) steps).  Every claimed
 postcondition is re-checked at runtime; a violation raises
 :class:`ConsistencyError` and means an implementation bug, not a user error.
 
-The loops propagate each blue set once to check it: the time a pass starts
-from is the one measured when its set was checked, and the components of
-G - B that one pass checks are the ones the next pass starts from.  (The
-per-component times ``balance_propagation`` reads come from
-:func:`component_pt`, which runs each component of G - B on its own and
-raises :class:`NotForcingError` when one of those runs stalls; that happens
-exactly when the set does not force.)  The checks are:
+Every check reads a set's time from the engine's value-keyed memo, so a
+sweep of moves over one graph propagates each blue set once.  The checks
+are:
 
 * the input forces (:class:`NotForcingError` otherwise), and every migrated
   set still forces;
@@ -46,7 +42,7 @@ from .engine import (
     ForceEvent,
     NotForcingError,
     _forces,
-    _pt_mask,
+    _set_time,
     component_pt,
     forceable,
 )
@@ -90,7 +86,7 @@ class MigrationTrace:
 def _require_forcing(g: Graph, blue: int) -> int:
     """Propagation time of ``blue``; raises :class:`NotForcingError` if it
     does not force."""
-    pt = _pt_mask(g.adj, g.n, blue)
+    pt = _set_time(g.adj, g.n, blue)
     if pt is None:
         raise NotForcingError("blue set does not force the graph")
     return pt
@@ -191,7 +187,7 @@ def single_vertex_migrate(
     if not _forces(g.adj, mask, g.full_mask, v, w):
         raise ValueError(f"{v} -> {w} is not a valid first-step force")
     out = (mask & ~(1 << v)) | 1 << w
-    if _pt_mask(g.adj, g.n, out) is None:
+    if _set_time(g.adj, g.n, out) is None:
         raise ConsistencyError(
             f"migrated set {vlist(out)} lost the forcing property"
         )
@@ -225,7 +221,7 @@ def shrink_max_component(
             raise ConsistencyError("forcing set with no first-step force into a component")
         v, w = pairs[0]
         nxt = (cur & ~(1 << v)) | 1 << w
-        if _pt_mask(g.adj, g.n, nxt) is None:
+        if _set_time(g.adj, g.n, nxt) is None:
             raise ConsistencyError(f"migrated set {vlist(nxt)} lost the forcing property")
         comps = components(g, nxt)
         new_max = max(c.bit_count() for c in comps)
@@ -281,7 +277,7 @@ def multi_vertex_migrate(
         out = (out & ~(1 << u)) | 1 << w
     if out.bit_count() != mask.bit_count():
         raise ConsistencyError("migration changed the blue-set size")
-    if _pt_mask(g.adj, g.n, out) is None:
+    if _set_time(g.adj, g.n, out) is None:
         raise ConsistencyError(f"migrated set {vlist(out)} lost the forcing property")
     return out
 
@@ -328,7 +324,7 @@ def balance_propagation(
         nxt = cur
         for u, w in pairs:
             nxt = (nxt & ~(1 << u)) | 1 << w
-        new_pt = _pt_mask(g.adj, n, nxt)
+        new_pt = _set_time(g.adj, n, nxt)
         if new_pt is None:
             raise ConsistencyError(f"migrated set {vlist(nxt)} lost the forcing property")
         if new_pt != pt - 1:

@@ -1,6 +1,17 @@
 import pytest
 
-from psdforce import enumerate_graphs, write_graph6
+from psdforce import engine, enumerate_graphs, write_graph6
+
+
+@pytest.fixture(autouse=True)
+def cold_engine_memos():
+    """Start every test with the engine's value-keyed memos empty.
+
+    canon's class cache is kept: it holds no engine answer and is expensive
+    to rebuild.
+    """
+    for memo in (engine._scan_size_k, engine._scan_floor, engine._set_time):
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

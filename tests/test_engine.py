@@ -342,7 +342,7 @@ def test_engine_matches_reference_orders_7_to_9(g):
 
 
 # ---------------------------------------------------------------------------
-# the per-graph scan memo
+# the value-keyed memos
 
 
 @pytest.fixture
@@ -378,27 +378,85 @@ def test_memo_throttling_scans_only_larger_sets(scanned):
     assert all(m.bit_count() > z for m in scanned)
 
 
-def test_memo_is_per_object(scanned):
+def test_memo_is_per_value(scanned):
     g = cycle(8)
     first = pt_plus(g)
     scanned.clear()
     twin = Graph(g.n, g.edges())
     assert twin == g and twin is not g
     assert pt_plus(twin) == first
+    assert scanned == []
+    engine._scan_size_k.cache_clear()
+    assert pt_plus(twin) == first
     assert scanned
 
 
 def test_caps_hold_with_warm_memo():
+    # a memo warmed by the same object or by an equal twin never lets a
+    # call go over its budget
     g = path(12)
     pt_plus_k(g, 6)
-    with pytest.raises(CapExceededError):
-        pt_plus_k(g, 6, max_subsets=100)
     big = path(13)
     psd_zero_forcing_number(big)
-    with pytest.raises(CapExceededError):
-        psd_zero_forcing_number(big, max_subsets=12)
-    with pytest.raises(CapExceededError):
-        pt_plus(big, max_subsets=12)
+    for h in (g, Graph(12, g.edges())):
+        with pytest.raises(CapExceededError):
+            pt_plus_k(h, 6, max_subsets=100)
+    for h in (big, Graph(13, big.edges())):
+        with pytest.raises(CapExceededError):
+            psd_zero_forcing_number(h, max_subsets=12)
+        with pytest.raises(CapExceededError):
+            pt_plus(h, max_subsets=12)
+
+
+def test_single_set_answers_are_served_from_the_memo(classes_by_order):
+    # the second call on a mask propagates nothing, and both calls give the
+    # oracle's answer
+    info = engine._set_time.cache_info
+    for n, labels in classes_by_order.items():
+        for lab in labels:
+            g = parse_graph6(lab)
+            adj = _adj(g)
+            for blue in range(1 << n):
+                ref = ref_pt(adj, n, vlist(blue))
+                for served in (False, True):
+                    before = info()
+                    assert is_psd_forcing_set(g, blue) == (ref is not None)
+                    if ref is None:
+                        with pytest.raises(NotForcingError):
+                            component_pt(g, blue)
+                    else:
+                        times = [t for _, t in component_pt(g, blue)]
+                        assert max(times, default=0) == ref, (lab, vlist(blue))
+                    after = info()
+                    if served:
+                        assert after.misses == before.misses
+                        assert after.hits > before.hits
+
+
+def test_every_engine_memo_is_bounded(classes_by_order):
+    memos = {
+        name: obj.cache_info
+        for name, obj in vars(engine).items()
+        if callable(getattr(obj, "cache_info", None))
+    }
+    assert {"_scan_size_k", "_scan_floor", "_set_time"} <= set(memos)
+    for lab in classes_by_order[6]:
+        g = parse_graph6(lab)
+        throttling_number(g)
+        for k in range(g.n + 1):
+            try:
+                pt_plus_k(g, k)
+            except NoForcingSetError:
+                pass
+        for blue in range(1 << g.n):
+            is_psd_forcing_set(g, blue)
+    for name, info in memos.items():
+        got = info()
+        assert got.maxsize is not None, name
+        assert got.currsize <= got.maxsize, name
+    # the sweep asked each memo for more keys than it keeps
+    assert memos["_set_time"]().misses > memos["_set_time"]().maxsize
+    assert memos["_scan_size_k"]().misses > memos["_scan_size_k"]().maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +501,7 @@ def test_budget_sizes_below_the_isolated_set_cost_nothing(scanned):
     assert scanned == []
 
 
-def test_lower_bound_is_computed_once_per_object(monkeypatch):
+def test_lower_bound_is_computed_once_per_value(monkeypatch):
     calls = []
     real = engine._z_lower_bound
 
@@ -460,6 +518,9 @@ def test_lower_bound_is_computed_once_per_object(monkeypatch):
     throttling_number(g)
     assert calls == [g]
     twin = Graph(g.n, g.edges())
+    pt_plus(twin)
+    assert calls == [g]
+    engine._scan_floor.cache_clear()
     pt_plus(twin)
     assert len(calls) == 2 and calls[1] is twin
 
@@ -491,9 +552,9 @@ def test_degeneracy_is_the_largest_least_degree_of_a_subgraph(classes_by_order):
 
 def test_no_set_below_the_lower_bound_forces():
     # closure is monotone, so the size L - 1 scan failing rules out all
-    # smaller sizes; a fresh Graph has no memo and scans for real
+    # smaller sizes; the memos start empty and the classes differ, so every
+    # scan runs for real
     for g in enumerate_graphs(7):
-        g = Graph(g.n, g.edges())
         floor = engine._z_lower_bound(g)
         if floor >= 2:
             assert engine._scan_size_k(g, floor - 1) is None, g.edges()

@@ -244,6 +244,36 @@ def test_checkpoint_ignores_garbage(tmp_path):
     assert invariant_table(1, checkpoint_dir=ck) == clean
 
 
+def test_checkpoint_ignores_a_garbled_record(tmp_path):
+    # a broken record line above a valid trailer recomputes the order
+    ck = str(tmp_path)
+    clean = invariant_table(3, checkpoint_dir=ck)
+    path = os.path.join(ck, "invariants.n3.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[0] = lines[0].replace(":", "", 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert invariant_table(3, checkpoint_dir=ck) == clean
+    assert invariant_table(3) == clean
+
+
+def test_checkpoint_ignores_records_of_another_order(tmp_path):
+    # an order-2 file copied over the order-3 one has a valid trailer but
+    # the wrong records; the order is recomputed and rewritten
+    ck = str(tmp_path)
+    clean = invariant_table(3, checkpoint_dir=ck)
+    n2 = os.path.join(ck, "invariants.n2.jsonl")
+    n3 = os.path.join(ck, "invariants.n3.jsonl")
+    with open(n3, encoding="utf-8") as fh:
+        right = fh.read()
+    with open(n2, encoding="utf-8") as src, open(n3, "w", encoding="utf-8") as dst:
+        dst.write(src.read())
+    assert invariant_table(3, checkpoint_dir=ck) == clean
+    with open(n3, encoding="utf-8") as fh:
+        assert fh.read() == right
+
+
 def test_pool_matches_serial():
     # jobs=2 fans the labels of each order out to a Pool; results keep order
     assert invariant_table(6, jobs=2) == invariant_table(6)

@@ -318,12 +318,12 @@ def test_force_switch_check_catches_a_missed_bridge(monkeypatch):
 
 def test_balance_check_catches_an_unchanged_time(monkeypatch):
     g = path(7)
-    stuck = migration._pt_mask(g.adj, g.n, 1)  # the time of {0}, 6
+    stuck = migration._set_time(g.adj, g.n, 1)  # the time of {0}, 6
 
-    def unchanged(adj, n, blue, limit=None):
+    def unchanged(adj, n, blue):
         return stuck
 
-    monkeypatch.setattr(migration, "_pt_mask", unchanged)
+    monkeypatch.setattr(migration, "_set_time", unchanged)
     with pytest.raises(ConsistencyError, match="expected -1"):
         balance_propagation(g, {0})
 
