@@ -35,7 +35,9 @@ from __future__ import annotations
 import functools
 from typing import Iterator
 
+# components is unused, but perfbench/tracing.py MANIFEST lists canon as an importer
 from .graph import Graph, _graph6_of_columns, components, parse_graph6, write_graph6
+from .engine import ConsistencyError
 
 CANON_MAX_N = 10
 ENUM_MAX_N = 8
@@ -59,7 +61,7 @@ def _refine_cells(g: Graph) -> list[list[int]]:
     same for every relabeling of g.
     """
     n = g.n
-    degs = [g.degree(v) for v in range(n)]
+    degs = [row.bit_count() for row in g.adj]
     rank = {c: i for i, c in enumerate(sorted(set(degs)))}
     colors = [rank[c] for c in degs]
     ncolors = len(rank)
@@ -77,9 +79,7 @@ def _refine_cells(g: Graph) -> list[list[int]]:
     return cells
 
 
-def _canonical_search(
-    g: Graph, max_n: int | None = None
-) -> tuple[list[list[int]], list[int]]:
+def _canonical_search(g: Graph) -> tuple[list[list[int]], list[int]]:
     """The leaves (position -> original vertex) of the least bit string, and
     its columns.
 
@@ -90,9 +90,8 @@ def _canonical_search(
     columns is returned, the first found first.  cols[1..n-1] are graph6's
     column-major upper triangle, so they are the label's body.
     """
-    cap = CANON_MAX_N if max_n is None else max_n
-    if g.n > cap:
-        raise ValueError(f"canonical labeling capped at order {cap}, got {g.n}")
+    if g.n > CANON_MAX_N:
+        raise ValueError(f"canonical labeling capped at order {CANON_MAX_N}, got {g.n}")
     n = g.n
     adj = g.adj
     best_cols: list[int] = []
@@ -147,9 +146,9 @@ def _canonical_search(
     return leaves, best_cols
 
 
-def canonical_form(g: Graph, max_n: int | None = None) -> Graph:
+def canonical_form(g: Graph) -> Graph:
     """A canonical isomorph of g (same graph for all relabelings of g)."""
-    perm = _canonical_search(g, max_n)[0][0]
+    perm = _canonical_search(g)[0][0]
     rows = [0] * g.n
     for i, v in enumerate(perm):
         av = g.adj[v]
@@ -159,9 +158,9 @@ def canonical_form(g: Graph, max_n: int | None = None) -> Graph:
     return Graph._from_rows(rows)
 
 
-def canonical_label(g: Graph, max_n: int | None = None) -> str:
+def canonical_label(g: Graph) -> str:
     """Canonical graph6 string; equal labels iff isomorphic graphs."""
-    return _graph6_of_columns(_canonical_search(g, max_n)[1])
+    return _graph6_of_columns(_canonical_search(g)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,8 @@ def _orbit_least_masks(g: Graph) -> list[int]:
         for x in range(1, size):
             low = x & -x
             img[x] = img[x ^ low] | 1 << gen[low.bit_length() - 1]
-        assert all(img[g.adj[v]] == g.adj[gen[v]] for v in range(g.n)), gen
+        if not all(img[g.adj[v]] == g.adj[gen[v]] for v in range(g.n)):
+            raise ConsistencyError(f"generator {gen} is not an automorphism")
         images.append(img)
     seen = bytearray(size)
     least = []
@@ -262,7 +262,7 @@ def _iso_classes(n: int) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of order n.
 
     Representatives are canonical forms, streamed in sorted label order.
@@ -270,7 +270,4 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     if not 1 <= n <= ENUM_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got {n}")
     for lab in _iso_classes(n):
-        g = parse_graph6(lab)
-        if connected_only and len(components(g)) > 1:
-            continue
-        yield g
+        yield parse_graph6(lab)

@@ -20,6 +20,7 @@ import time
 from .engine import (
     DEFAULT_MAX_SUBSETS,
     CapExceededError,
+    ConsistencyError,
     NoForcingSetError,
     component_pt,
     is_psd_forcing_set,
@@ -39,7 +40,7 @@ from .graph import (
     vlist,
     write_graph6,
 )
-from .migration import ConsistencyError, balance_propagation, shrink_max_component
+from .migration import balance_propagation, shrink_max_component
 
 
 class CliError(Exception):

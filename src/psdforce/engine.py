@@ -76,6 +76,10 @@ _SCAN_MEMO_SIZE = 256  # (graph, k) scans and graph floors kept; each pins a Gra
 _SET_TIME_MEMO_SIZE = 1 << 12  # blue-mask times kept: all masks of an order-12 graph
 
 
+class ConsistencyError(RuntimeError):
+    """An internally asserted invariant failed; report this as a bug."""
+
+
 class CapExceededError(RuntimeError):
     """The requested exact search is larger than its subset budget."""
 
@@ -421,7 +425,7 @@ def _z_and_pt(g: Graph, max_subsets: int | None = None) -> tuple[int, int, int]:
     for k, got in _budgeted_scans(g, range(1, g.n + 1), max_subsets):
         if got is not None:
             return k, got[0], got[1]
-    raise AssertionError("the full vertex set always forces")
+    raise ConsistencyError("no size up to n forces, but the full vertex set always does")
 
 
 def psd_zero_forcing_number(

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from . import canon
 from .canon import enumerate_graphs
-from .engine import _budgeted_scans, _z_and_pt
+from .engine import ConsistencyError, _budgeted_scans, _z_and_pt
 from .graph import Graph, complement, parse_graph6, write_graph6
 
 
@@ -75,9 +75,11 @@ def throttling_number(
         pt, witness = got
         if best is None or k + pt < best[0]:
             best = (k + pt, k, witness)
-    assert best is not None and z is not None
+    if best is None or z is None:
+        raise ConsistencyError("no size up to n forces, but the full vertex set always does")
     bound = (g.n + z + 1) // 2  # ceil((n+Z)/2)
-    assert best[0] <= bound, f"throttling {best[0]} above bound {bound}"
+    if best[0] > bound:
+        raise ConsistencyError(f"throttling {best[0]} above bound {bound}")
     return best
 
 
@@ -257,7 +259,8 @@ def zeta(
             witnesses.append(rec.g6)
     if best < 0:
         raise ValueError(f"no graph of order {n} has forcing number {k}")
-    assert best <= (n - k + 1) // 2
+    if best > (n - k + 1) // 2:
+        raise ConsistencyError(f"zeta({n}, {k}) = {best}, above the bound ceil((n-k)/2)")
     return best, witnesses
 
 

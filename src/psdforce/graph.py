@@ -67,14 +67,23 @@ class Graph:
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for order {self.n}")
+        return v
+
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[self._vertex(v)].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        # tested inline, not by _vertex: every force switch asks this twice
+        if 0 <= u < self.n and 0 <= v < self.n:
+            return bool(self.adj[u] >> v & 1)
+        bad = v if 0 <= u < self.n else u
+        raise ValueError(f"vertex {bad} out of range for order {self.n}")
 
     def neighbors(self, v: int) -> list[int]:
-        return vlist(self.adj[v])
+        return vlist(self.adj[self._vertex(v)])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v, lexicographically."""
@@ -281,32 +290,31 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
-def is_bridge(g: Graph, u: int, v: int) -> bool:
-    """True iff removing edge uv disconnects u from v."""
+def is_bridge(g: Graph, u: int, v: int, removed: int | Iterable[int] = 0) -> bool:
+    """True iff uv is a bridge of g - removed: deleting it disconnects u from v.
+
+    uv must be an edge of g with neither end in ``removed`` (ValueError).
+    """
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
+    keep = g.full_mask & ~as_mask(g, removed)
     ubit, vbit = 1 << u, 1 << v
-    seen = ubit
-    frontier = ubit
+    if not keep & ubit or not keep & vbit:
+        raise ValueError(f"({u},{v}) has an end in the removed set")
     adj = g.adj
-    while frontier:
+    # BFS from u without the edge uv: only its first step could take the
+    # edge, and once v is reached by another path the answer is known
+    frontier = adj[u] & keep & ~vbit
+    seen = ubit | frontier
+    while frontier and not seen & vbit:
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            w = low.bit_length() - 1
-            row = adj[w]
-            if w == u:
-                row &= ~vbit
-            elif w == v:
-                row &= ~ubit
-            nxt |= row
-        frontier = nxt & ~seen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & keep & ~seen
         seen |= frontier
-        if seen & vbit:
-            return False
-    return True
+    return not seen & vbit
 
 
 def bridges(g: Graph, removed: int | Iterable[int] = 0) -> set[tuple[int, int]]:

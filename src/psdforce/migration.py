@@ -11,8 +11,9 @@ On top of these moves sit two loops: ``shrink_max_component`` migrates into
 the largest component of G - B until no component exceeds ceil((n-k)/2)
 vertices, and ``balance_propagation`` migrates into the slowest component
 until the two largest per-component times differ by at most one (which pins
-the overall time at or below ceil((n-k)/2) steps).  Every claimed
-postcondition is re-checked at runtime; a violation raises
+the overall time at or below ceil((n-k)/2) steps).  A shrink pass is the
+multiple-vertex move with j' = 1, a balancing pass the full move.  Every
+claimed postcondition is re-checked at runtime; a violation raises
 :class:`ConsistencyError` and means an implementation bug, not a user error.
 
 Every check reads a set's time from the engine's value-keyed memo, so a
@@ -21,10 +22,12 @@ are:
 
 * the input forces (:class:`NotForcingError` otherwise), and every migrated
   set still forces;
+* every multiple-vertex swap, in ``multi_vertex_migrate`` and in both
+  loops, has a first-step force into its component and keeps the blue-set
+  size;
 * ``shrink_max_component``: the largest component strictly shrinks;
 * ``balance_propagation``: every pass lowers the time by exactly one, and
   the final time is at most ceil((n-k)/2);
-* ``multi_vertex_migrate``: the blue-set size is unchanged;
 * ``verify_force_switch``: its four readings, each computed on its own,
   agree.
 """
@@ -35,10 +38,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import graph
 # induced_subgraph is unused here, but perfbench/tracing.py MANIFEST lists
 # migration as one of its importers and fails on a missing binding.
 from .graph import Graph, as_mask, bridges, components, induced_subgraph, vlist
 from .engine import (
+    ConsistencyError,
     ForceEvent,
     NotForcingError,
     _forces,
@@ -46,10 +51,6 @@ from .engine import (
     component_pt,
     forceable,
 )
-
-
-class ConsistencyError(RuntimeError):
-    """An internally asserted invariant failed; report this as a bug."""
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,29 @@ class MigrationTrace:
 
 
 def _require_forcing(g: Graph, blue: int) -> int:
-    """Propagation time of ``blue``; raises :class:`NotForcingError` if it
-    does not force."""
+    """Time of the input set ``blue``; :class:`NotForcingError` if it stalls."""
     pt = _set_time(g.adj, g.n, blue)
     if pt is None:
         raise NotForcingError("blue set does not force the graph")
     return pt
 
 
-def _assigned_into(g: Graph, blue: int, comp: int) -> list[tuple[int, int]]:
-    """First-step assigned forces (forcer, target) with target in comp.
+def _checked_time(g: Graph, out: int) -> int:
+    """Time of the migrated set ``out``; :class:`ConsistencyError` if it stalls."""
+    pt = _set_time(g.adj, g.n, out)
+    if pt is None:
+        raise ConsistencyError(f"migrated set {vlist(out)} lost the forcing property")
+    return pt
 
-    One pair per target (least-id forcer), ordered by target.
+
+def _swap_into(
+    g: Graph, blue: int, comp: int, take: int | None = None
+) -> tuple[MigrationStep, int]:
+    """The multiple-vertex move into ``comp``, checked: (step, new time).
+
+    The assigned first-step forces into ``comp`` are the least-id forcer per
+    target, in target order; the first ``take`` of them (all by default)
+    swap each forcer for its target.
     """
     pairs = []
     seen = 0
@@ -104,7 +116,29 @@ def _assigned_into(g: Graph, blue: int, comp: int) -> list[tuple[int, int]]:
         if wbit & comp and not seen & wbit:
             pairs.append((u, w))
             seen |= wbit
-    return pairs
+    if not pairs:
+        raise ConsistencyError("forcing set with no first-step force into a component")
+    take = len(pairs) if take is None else take
+    if not 1 <= take <= len(pairs):
+        raise ValueError(
+            f"take must be in 1..{len(pairs)} (first-step forces into the component)"
+        )
+    out = blue
+    forces = []
+    for u, w in pairs[:take]:
+        out = (out & ~(1 << u)) | 1 << w
+        forces.append(ForceEvent(u, w, 1))
+    if out.bit_count() != blue.bit_count():
+        raise ConsistencyError("migration changed the blue-set size")
+    pt = _checked_time(g, out)
+    step = MigrationStep(
+        before=blue,
+        moved_out=blue & ~out,
+        moved_in=out & ~blue,
+        after=out,
+        forces=tuple(forces),
+    )
+    return step, pt
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +159,9 @@ def verify_force_switch(
 
     Each reading is computed on its own.  (a) and (d) are one BFS each over
     the white vertices from the target (w, resp. v) that stops when it meets
-    another neighbour of the forcer.  (b) is a BFS from v over G - S that
-    skips the edge vw.  (c) is a lookup in the bridges of G - S, found by
-    DFS low-points.
+    another neighbour of the forcer.  (b) is :func:`graph.is_bridge` on
+    G - S, a BFS from v that skips the edge vw.  (c) is a lookup in the
+    bridges of G - S, found by DFS low-points.
 
     Returns (value, (a, b, c, d)) and raises :class:`ConsistencyError` if the
     four computations ever disagree.
@@ -135,35 +169,16 @@ def verify_force_switch(
     smask = as_mask(g, s)
     if v == w:
         raise ValueError("v and w must differ")
-    if smask & (1 << v) or smask & (1 << w):
-        raise ValueError("v and w must lie outside the context set")
     if not g.has_edge(v, w):
         raise ValueError(f"({v},{w}) is not an edge")
+    if smask & (1 << v) or smask & (1 << w):
+        raise ValueError("v and w must lie outside the context set")
 
     adj, full = g.adj, g.full_mask
     a = _forces(adj, smask | 1 << v, full, v, w)
     d = _forces(adj, smask | 1 << w, full, w, v)
-
-    # (b): direct reachability with the edge removed, inside g - s
-    keep = full & ~smask
-    seen = frontier = 1 << v
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            x = low.bit_length() - 1
-            row = adj[x]
-            if x == v:
-                row &= ~(1 << w)
-            elif x == w:
-                row &= ~(1 << v)
-            nxt |= row
-        frontier = nxt & keep & ~seen
-        seen |= frontier
-    b = not seen >> w & 1
-
+    # through the module: perfbench's tracer patches graph.is_bridge there
+    b = graph.is_bridge(g, v, w, smask)
     c = (min(v, w), max(v, w)) in bridges(g, smask)
 
     if not a == b == c == d:
@@ -187,59 +202,8 @@ def single_vertex_migrate(
     if not _forces(g.adj, mask, g.full_mask, v, w):
         raise ValueError(f"{v} -> {w} is not a valid first-step force")
     out = (mask & ~(1 << v)) | 1 << w
-    if _set_time(g.adj, g.n, out) is None:
-        raise ConsistencyError(
-            f"migrated set {vlist(out)} lost the forcing property"
-        )
+    _checked_time(g, out)
     return out
-
-
-def shrink_max_component(
-    g: Graph, blue: int | Iterable[int]
-) -> tuple[int, MigrationTrace]:
-    """Migrate into the largest component of G - B until none exceeds
-    ceil((n-k)/2) vertices.
-
-    Each pass picks the first-step force (v, w) into the largest component
-    with least (target, forcer), and the largest component size strictly
-    decreases every pass (asserted).
-    """
-    cur = as_mask(g, blue)
-    _require_forcing(g, cur)
-    n = g.n
-    k = cur.bit_count()
-    bound = (n - k + 1) // 2  # ceil((n-k)/2)
-    steps: list[MigrationStep] = []
-    comps = components(g, cur)
-    while comps:
-        big = max(comps, key=lambda c: c.bit_count())
-        size = big.bit_count()
-        if size <= bound:
-            break
-        pairs = _assigned_into(g, cur, big)
-        if not pairs:
-            raise ConsistencyError("forcing set with no first-step force into a component")
-        v, w = pairs[0]
-        nxt = (cur & ~(1 << v)) | 1 << w
-        if _set_time(g.adj, g.n, nxt) is None:
-            raise ConsistencyError(f"migrated set {vlist(nxt)} lost the forcing property")
-        comps = components(g, nxt)
-        new_max = max(c.bit_count() for c in comps)
-        if new_max >= size:
-            raise ConsistencyError(
-                f"largest component did not shrink: {size} -> {new_max}"
-            )
-        steps.append(
-            MigrationStep(
-                before=cur,
-                moved_out=1 << v,
-                moved_in=1 << w,
-                after=nxt,
-                forces=(ForceEvent(v, w, 1),),
-            )
-        )
-        cur = nxt
-    return cur, MigrationTrace(tuple(steps), cur)
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +227,39 @@ def multi_vertex_migrate(
     _require_forcing(g, mask)
     if comp not in components(g, mask):
         raise ValueError("component is not a component of G - blue")
-    pairs = _assigned_into(g, mask, comp)
-    if not pairs:
-        raise ConsistencyError("forcing set with no first-step force into a component")
-    if take is None:
-        take = len(pairs)
-    if not 1 <= take <= len(pairs):
-        raise ValueError(
-            f"take must be in 1..{len(pairs)} (first-step forces into the component)"
-        )
-    out = mask
-    for u, w in pairs[:take]:
-        out = (out & ~(1 << u)) | 1 << w
-    if out.bit_count() != mask.bit_count():
-        raise ConsistencyError("migration changed the blue-set size")
-    if _set_time(g.adj, g.n, out) is None:
-        raise ConsistencyError(f"migrated set {vlist(out)} lost the forcing property")
-    return out
+    return _swap_into(g, mask, comp, take)[0].after
 
 
-def _component_times(g: Graph, blue: int) -> list[tuple[int, int]]:
-    """(time, component_mask) per component, plus a zero-time sentinel.
+def shrink_max_component(
+    g: Graph, blue: int | Iterable[int]
+) -> tuple[int, MigrationTrace]:
+    """Migrate into the largest component of G - B until none exceeds
+    ceil((n-k)/2) vertices.
 
-    The sentinel keeps "the two slowest components" well defined when G - B
-    has a single component (or none).
+    Each pass is the multiple-vertex move with j' = 1 into the largest
+    component, by least (target, forcer); the largest component size
+    strictly decreases every pass (asserted).
     """
-    times = [(pt, comp) for comp, pt in component_pt(g, blue)]
-    times.append((0, 0))
-    times.sort(key=lambda t: (t[0], t[1].bit_count()))
-    return times
+    cur = as_mask(g, blue)
+    _require_forcing(g, cur)
+    bound = (g.n - cur.bit_count() + 1) // 2  # ceil((n-k)/2)
+    steps: list[MigrationStep] = []
+    comps = components(g, cur)
+    while comps:
+        big = max(comps, key=lambda c: c.bit_count())
+        size = big.bit_count()
+        if size <= bound:
+            break
+        step, _ = _swap_into(g, cur, big, take=1)
+        cur = step.after
+        comps = components(g, cur)
+        new_max = max(c.bit_count() for c in comps)
+        if new_max >= size:
+            raise ConsistencyError(
+                f"largest component did not shrink: {size} -> {new_max}"
+            )
+        steps.append(step)
+    return cur, MigrationTrace(tuple(steps), cur)
 
 
 def balance_propagation(
@@ -307,41 +275,24 @@ def balance_propagation(
     """
     cur = as_mask(g, blue)
     pt = _require_forcing(g, cur)
-    n = g.n
     k = cur.bit_count()
     steps: list[MigrationStep] = []
     while True:
-        times = _component_times(g, cur)
-        if len(times) < 2:
+        # (time, component) per component of G - B, slowest last, and a
+        # zero-time sentinel that keeps "the two slowest" defined when G - B
+        # has a single component (or none)
+        times = [(t, comp) for comp, t in component_pt(g, cur)] + [(0, 0)]
+        times.sort(key=lambda t: (t[0], t[1].bit_count()))
+        if len(times) < 2 or times[-1][0] - times[-2][0] <= 1:
             break
-        gap = times[-1][0] - times[-2][0]
-        if gap <= 1:
-            break
-        slow = times[-1][1]
-        pairs = _assigned_into(g, cur, slow)
-        if not pairs:
-            raise ConsistencyError("forcing set with no first-step force into a component")
-        nxt = cur
-        for u, w in pairs:
-            nxt = (nxt & ~(1 << u)) | 1 << w
-        new_pt = _set_time(g.adj, n, nxt)
-        if new_pt is None:
-            raise ConsistencyError(f"migrated set {vlist(nxt)} lost the forcing property")
+        step, new_pt = _swap_into(g, cur, times[-1][1])
         if new_pt != pt - 1:
             raise ConsistencyError(
                 f"balancing pass changed the time {pt} -> {new_pt}, expected -1"
             )
-        steps.append(
-            MigrationStep(
-                before=cur,
-                moved_out=cur & ~nxt,
-                moved_in=nxt & ~cur,
-                after=nxt,
-                forces=tuple(ForceEvent(u, w, 1) for u, w in pairs),
-            )
-        )
-        cur, pt = nxt, new_pt
-    bound = (n - k + 1) // 2  # ceil((n-k)/2)
+        steps.append(step)
+        cur, pt = step.after, new_pt
+    bound = (g.n - k + 1) // 2  # ceil((n-k)/2)
     if pt > bound:
         raise ConsistencyError(
             f"balanced set has time {pt}, above the halving bound {bound}"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from psdforce import cli, extremal
+from psdforce import cli, engine, extremal
 from psdforce.cli import build_parser, main
 from psdforce.migration import ConsistencyError
 
@@ -175,6 +175,46 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: balancing pass")
+
+
+def _scan_too_slow(g, ks, max_subsets=None):
+    # every size k reports time n, which breaks the throttling bound
+    for k in ks:
+        yield k, (g.n, (1 << k) - 1)
+
+
+def _scan_never_forces(g, ks, max_subsets=None):
+    for k in ks:
+        yield k, None
+
+
+# (module, name, replacement, argv, start of the message): each check of the
+# engine and extremal layers, broken by a patched scan
+BROKEN_SCANS = [
+    (extremal, "_budgeted_scans", _scan_too_slow,
+     ["compute", "--family", "path:5", "--throttle"], "throttling 6 above bound 3"),
+    (extremal, "_budgeted_scans", _scan_never_forces,
+     ["compute", "--family", "path:5", "--throttle"], "no size up to n forces"),
+    (engine, "_budgeted_scans", _scan_never_forces,
+     ["compute", "--family", "path:5"], "no size up to n forces"),
+    (extremal, "_z_and_pt", lambda g, max_subsets=None: (1, g.n, 1),
+     ["extremal", "--zeta", "4", "1"], "zeta(4, 1) = 4, above the bound"),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,broken,argv,message",
+    BROKEN_SCANS,
+    ids=["throttle-bound", "throttle-no-size", "compute", "zeta"],
+)
+def test_layer_checks_exit_as_internal_errors(
+    capsys, monkeypatch, module, name, broken, argv, message
+):
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"internal error: {message}")
 
 
 def test_survey_input_errors_are_user_errors(capsys):

@@ -17,6 +17,7 @@ from psdforce import (
 )
 from psdforce.families import complete, cycle, empty_graph, lollipop, path
 from psdforce.graph import as_mask
+from psdforce.migration import verify_force_switch
 
 from _oracles import ref_components
 
@@ -101,12 +102,36 @@ def test_bridges_of_a_vertex_deleted_subgraph(classes_by_order):
 
 
 def test_is_bridge_agrees_with_bridges(classes_by_order):
-    for labels in classes_by_order.values():
+    for n, labels in classes_by_order.items():
         for lab in labels:
             g = parse_graph6(lab)
-            bs = bridges(g)
-            for u, v in g.edges():
-                assert is_bridge(g, u, v) == ((u, v) in bs)
+            for removed in range(1 << n):
+                bs = bridges(g, removed)
+                for u, v in g.edges():
+                    if removed >> u & 1 or removed >> v & 1:
+                        with pytest.raises(ValueError, match="removed set"):
+                            is_bridge(g, u, v, removed)
+                    else:
+                        assert is_bridge(g, u, v, removed) == ((u, v) in bs)
+
+
+@pytest.mark.parametrize(
+    "call,vertex",
+    [
+        pytest.param(lambda g: g.has_edge(-1, 2), -1, id="has_edge-negative"),
+        pytest.param(lambda g: g.has_edge(2, 4), 4, id="has_edge-past-n"),
+        pytest.param(lambda g: g.degree(-1), -1, id="degree"),
+        pytest.param(lambda g: g.neighbors(4), 4, id="neighbors"),
+        pytest.param(lambda g: is_bridge(g, 5, 1), 5, id="is_bridge-past-n"),
+        pytest.param(lambda g: is_bridge(g, 1, -2), -2, id="is_bridge-negative"),
+        pytest.param(lambda g: verify_force_switch(g, [], 7, 1), 7, id="force_switch-past-n"),
+        pytest.param(lambda g: verify_force_switch(g, [], -1, 0), -1, id="force_switch-negative"),
+    ],
+)
+def test_vertex_ids_outside_the_graph_are_rejected(call, vertex):
+    # a negative id used to index adj from the end, a large one past it
+    with pytest.raises(ValueError, match=f"vertex {vertex} out of range for order 4"):
+        call(path(4))
 
 
 def test_complement():

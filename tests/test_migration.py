@@ -340,3 +340,39 @@ def test_shrink_check_catches_a_component_that_did_not_shrink(monkeypatch):
     monkeypatch.setattr(migration, "components", stale)
     with pytest.raises(ConsistencyError, match="did not shrink"):
         shrink_max_component(path(5), {0})
+
+
+# each check shared by the moves fires through every move that makes it
+SWAPS = {
+    "single": lambda: single_vertex_migrate(path(5), {0}, 0, 1),
+    "shrink": lambda: shrink_max_component(path(5), {0}),
+    "multi": lambda: multi_vertex_migrate(path(5), {0}, vset([1, 2, 3, 4])),
+    "balance": lambda: balance_propagation(path(7), {0}),
+}
+
+
+@pytest.mark.parametrize("move", ["shrink", "multi", "balance"])
+def test_swap_check_catches_a_missing_first_step_force(monkeypatch, move):
+    monkeypatch.setattr(migration, "forceable", lambda g, blue: [])
+    with pytest.raises(ConsistencyError, match="no first-step force"):
+        SWAPS[move]()
+
+
+@pytest.mark.parametrize("move", ["single", "shrink", "multi", "balance"])
+def test_swap_check_catches_a_set_that_stopped_forcing(monkeypatch, move):
+    real = migration._set_time
+
+    def only_the_input_forces(adj, n, blue):
+        return real(adj, n, blue) if blue == 1 else None
+
+    monkeypatch.setattr(migration, "_set_time", only_the_input_forces)
+    with pytest.raises(ConsistencyError, match="lost the forcing property"):
+        SWAPS[move]()
+
+
+@pytest.mark.parametrize("move", ["multi", "balance"])
+def test_swap_check_catches_a_changed_size(monkeypatch, move):
+    # forcer 0 swapped for two targets: {0} becomes {1, 2}
+    monkeypatch.setattr(migration, "forceable", lambda g, blue: [(0, 1), (0, 2)])
+    with pytest.raises(ConsistencyError, match="changed the blue-set size"):
+        SWAPS[move]()

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import psdforce
 from psdforce import cli
+from psdforce.families import path
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +54,16 @@ def test_trace_sees_the_command_layer(capsys):
     spans = tracer.summary()
     assert spans["cli.cmd_compute"]["calls"] == 1
     assert spans["cli.build_parser"]["calls"] == 1
+
+
+def test_trace_sees_the_bridge_reading_of_a_force_switch():
+    # verify_force_switch calls is_bridge through the graph module, which is
+    # where the tracer patches it
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert psdforce.migration.verify_force_switch(path(4), [], 1, 2)[0]
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["graph.is_bridge"]["calls"] == 1
