@@ -56,6 +56,24 @@ B forces.  All of C's outside neighbours are in B, so until a vertex of C
 turns blue, C stays a white component with the same blue neighbours, whose
 forces into C depend on C alone: there are none.  A vertex of C turns blue
 only by such a force, so none ever does, and the run never completes.
+
+Forcing is decided without propagation by forts.  A *connected PSD fort*
+is a nonempty vertex set C with G[C] connected such that no vertex outside
+C has exactly one neighbour in C.  Lemma: a blue set S forces G iff S meets
+every connected PSD fort.  (If) Suppose S stalls, and let C be a component
+of the final white set.  A white vertex outside C lies in another white
+component, so it has no neighbour in C.  A blue vertex with exactly one
+neighbour in C would force it, so it has none or at least two.  C is a
+fort that S misses.  (Only if) Let C be a fort inside V - S, and suppose
+some vertex of C turns blue; let x be one forced in the first such round,
+by u.  At that round's start u is blue, so outside C, and C is white and
+connected, so it lies inside x's white component, where x is u's only
+white neighbour.  So x is u's only neighbour in C, against C being a
+fort: no vertex of C ever turns blue, and S does not force.
+``_forcing_table`` builds the answer for all 2^n masks at once (the fort
+view of standard zero forcing is Brimkov, Fast and Hicks, EJOR 2019), and
+the scans propagate only the sets it approves: a set that does not force
+has no time to offer.
 """
 
 from __future__ import annotations
@@ -72,8 +90,12 @@ from typing import Iterable, Iterator
 from .graph import Graph, as_mask, components, induced_subgraph, vlist
 
 DEFAULT_MAX_SUBSETS = 10**6  # sets one exact search call may propagate
-_SCAN_MEMO_SIZE = 256  # (graph, k) scans and graph floors kept; each pins a Graph
+_SCAN_MEMO_SIZE = 256  # (graph, k) scans and graph floors kept; each pins a Graph (and table)
 _SET_TIME_MEMO_SIZE = 1 << 12  # blue-mask times kept: all masks of an order-12 graph
+# Largest order given a forcing table (BENCH_fort_plane.json).  A table costs
+# 0.16 ms at order 12 and 2.0 ms at 16; the scan memo pins up to 256 of them,
+# 2 MB at order 16 and twice as much for each order above.
+_FORT_MAX_N = 16
 
 
 class ConsistencyError(RuntimeError):
@@ -326,10 +348,91 @@ def forcing_forest(g: Graph, schedule: PropagationSchedule) -> ForcingForest:
 # exact optima
 
 
+@functools.lru_cache(maxsize=_FORT_MAX_N + 1)
+def _mask_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(X, LOW, K) for order n: 2^n-bit ints whose bit m speaks of mask m.
+
+    ``X[v]`` holds the masks that contain v, ``LOW[v]`` those whose least
+    vertex is v, and ``K[k]`` those of popcount k.
+    """
+    size = 1 << n
+    ones = (1 << size) - 1
+    xs = []
+    for v in range(n):
+        half = 1 << v  # mask by mask, bit v runs 2^v zeros, then 2^v ones
+        xs.append(ones // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+    lows = []
+    none_below = ones
+    for x in xs:
+        lows.append(none_below & x)
+        none_below &= ~x
+    ks = [1] + [0] * n
+    for v in range(n):
+        for k in range(v + 1, 0, -1):
+            ks[k] |= ks[k - 1] << (1 << v)
+    return tuple(xs), tuple(lows), tuple(ks)
+
+
+def _forcing_table(adj: tuple[int, ...], n: int) -> int:
+    """2^n-bit int whose bit S is set iff the blue mask S forces G.
+
+    A set forces iff it meets every connected PSD fort (module docstring).
+    The masks of all forts are built at once, each step one big-int
+    operation on every mask: the connected masks, minus those with an
+    outside vertex that has exactly one neighbour inside, closed upwards.
+    Bit S of the result is then the absence of a fort inside V - S.
+    """
+    xs, lows, _ = _mask_planes(n)
+    size = 1 << n
+    ones = (1 << size) - 1
+    nbrs = [vlist(row) for row in adj]
+    # reach[v]: masks holding v, where v reaches the least vertex inside
+    reach = list(lows)
+    grown = True
+    while grown:
+        grown = False
+        for v in range(n):
+            acc = 0
+            for u in nbrs[v]:
+                acc |= reach[u]
+            new = reach[v] | xs[v] & acc
+            if new != reach[v]:
+                reach[v] = new
+                grown = True
+    forts = ones ^ 1  # the empty mask is no fort
+    for v in range(n):
+        forts &= reach[v] | ~xs[v]  # connected: every member reaches
+    for u in range(n):
+        one = two = 0
+        for w in nbrs[u]:
+            two |= one & xs[w]
+            one |= xs[w]
+        forts &= ~(one & ~two & ~xs[u])  # u outside with exactly one neighbour
+    for v in range(n):
+        forts |= (forts & ~xs[v]) << (1 << v)  # now: holds a fort
+    # V - S is the mask 2^n - 1 - S: read the 2^n-bit string backwards
+    return ones ^ int(format(forts, f"0{size}b")[::-1], 2)
+
+
 @functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
-def _scan_floor(g: Graph) -> tuple[int, int]:
-    """(mask of the isolated vertices, L(G)): where every scan starts."""
-    return sum(1 << v for v, row in enumerate(g.adj) if not row), _z_lower_bound(g)
+def _scan_floor(g: Graph) -> tuple[int, int, int | None]:
+    """(isolated-vertex mask, L(G), forcing table): where every scan starts.
+
+    The forcing table is ``_forcing_table`` for orders up to
+    ``_FORT_MAX_N`` and None above.  Its least forcing size is checked
+    against L(G), which is proved on its own.
+    """
+    iso = sum(1 << v for v, row in enumerate(g.adj) if not row)
+    floor = _z_lower_bound(g)
+    table = None
+    if g.n <= _FORT_MAX_N:
+        table = _forcing_table(g.adj, g.n)
+        ks = _mask_planes(g.n)[2]
+        if any(table & ks[k] for k in range(floor)):
+            raise ConsistencyError(
+                f"the forcing table has a set smaller than the lower bound {floor}"
+            )
+    return iso, floor, table
 
 
 @functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
@@ -344,9 +447,17 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
     are propagated for at most t - 1 rounds, and a time of 1 ends the scan
     (only the full set is faster).  Isolated vertices can never be forced,
     so only supersets of them are scanned.
+
+    With a forcing table (``_scan_floor``), a size with no forcing set ends
+    at once and a set that does not force is skipped unpropagated.  Such a
+    set has no time, so the answer and the witness are unchanged.  The
+    first set propagated runs with no limit and must force.
     """
     adj, n = g.adj, g.n
-    iso = _scan_floor(g)[0]
+    iso, _, table = _scan_floor(g)
+    if table is not None and not table & _mask_planes(n)[2][k]:
+        return None
+    approved = -1 if table is None else table  # -1: every bit set
     niso = iso.bit_count()
     best: tuple[int, int] | None = None
     if k >= niso:
@@ -354,12 +465,18 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
         limit = None
         for extra in combinations(bits, k - niso):
             mask = iso + sum(extra)
+            if not approved >> mask & 1:
+                continue
             pt = _pt_mask(adj, n, mask, limit)
             if pt is not None:
                 best = (pt, mask)
                 if pt <= 1:  # only the full set is faster, and it has size n
                     break
                 limit = pt - 1
+            elif limit is None and table is not None:
+                raise ConsistencyError(
+                    f"the forcing table approves {vlist(mask)}, which does not force"
+                )
     return best
 
 
@@ -405,7 +522,7 @@ def _budgeted_scans(
     See the module docstring for the charge, which memoised sizes pay too.
     """
     cap = DEFAULT_MAX_SUBSETS if max_subsets is None else max_subsets
-    iso, floor = _scan_floor(g)
+    iso, floor, _ = _scan_floor(g)
     niso = iso.bit_count()
     spent = 0
     for k in ks:

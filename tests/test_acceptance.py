@@ -126,14 +126,15 @@ def test_criterion_05_catalog_k4_frozen():
 def test_criterion_06_halving_bound_sweep():
     with _Budget(60):
         checked = 0
-        for n in range(1, 7):
+        for n in range(1, 8):
             for g in enumerate_graphs(n):
                 z, _ = psd_zero_forcing_number(g)
                 for k in range(z, n + 1):
                     pt, _ = pt_plus_k(g, k)
                     assert pt <= (n - k + 1) // 2, (canonical_label(g), k)
                     checked += 1
-        assert checked == 804
+        # 804 pairs of orders 1..6 and 5,032 of order 7
+        assert checked == 5836
 
 
 def test_criterion_07_lollipop_tightness():

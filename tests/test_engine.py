@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from psdforce import (
     CapExceededError,
+    ConsistencyError,
     NoForcingSetError,
     NotForcingError,
     component_pt,
@@ -307,9 +308,9 @@ def test_caps_are_reported():
 
 
 @st.composite
-def _random_graphs(draw):
+def _random_graphs(draw, lo=7, hi=9):
     # edge density 1/2, 1/4 or 1/8: the sparse draws bring isolated vertices
-    n = draw(st.integers(7, 9))
+    n = draw(st.integers(lo, hi))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     bits = -1
     for _ in range(draw(st.integers(1, 3))):
@@ -439,7 +440,7 @@ def test_every_engine_memo_is_bounded(classes_by_order):
         for name, obj in vars(engine).items()
         if callable(getattr(obj, "cache_info", None))
     }
-    assert {"_scan_size_k", "_scan_floor", "_set_time"} <= set(memos)
+    assert {"_scan_size_k", "_scan_floor", "_set_time", "_mask_planes"} <= set(memos)
     for lab in classes_by_order[6]:
         g = parse_graph6(lab)
         throttling_number(g)
@@ -552,8 +553,8 @@ def test_degeneracy_is_the_largest_least_degree_of_a_subgraph(classes_by_order):
 
 def test_no_set_below_the_lower_bound_forces():
     # closure is monotone, so the size L - 1 scan failing rules out all
-    # smaller sizes; the memos start empty and the classes differ, so every
-    # scan runs for real
+    # smaller sizes; the memos start empty and the classes differ, so no
+    # answer comes from a memo
     for g in enumerate_graphs(7):
         floor = engine._z_lower_bound(g)
         if floor >= 2:
@@ -563,3 +564,80 @@ def test_no_set_below_the_lower_bound_forces():
 def test_sizes_below_the_lower_bound_are_not_scanned(scanned):
     assert psd_zero_forcing_number(complete(12))[0] == 11
     assert min(m.bit_count() for m in scanned) == 11
+
+
+# ---------------------------------------------------------------------------
+# the forcing table
+
+
+def _assert_table_matches_propagation(g):
+    table = engine._forcing_table(g.adj, g.n)
+    for blue in range(1 << g.n):
+        forces = engine._pt_mask(g.adj, g.n, blue) is not None
+        assert table >> blue & 1 == forces, (g.n, g.edges(), vlist(blue))
+
+
+def test_forcing_table_matches_propagation_up_to_order_7(classes_by_order):
+    for labels in classes_by_order.values():
+        for lab in labels:
+            _assert_table_matches_propagation(parse_graph6(lab))
+    for g in enumerate_graphs(7):
+        _assert_table_matches_propagation(g)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_random_graphs(8, engine._FORT_MAX_N))
+def test_forcing_table_matches_propagation_up_to_the_cap(g):
+    _assert_table_matches_propagation(g)
+
+
+def test_mask_planes_hold_membership_least_vertex_and_popcount():
+    for n in range(9):
+        xs, lows, ks = engine._mask_planes(n)
+        assert (len(xs), len(lows), len(ks)) == (n, n, n + 1)
+        for plane in xs + lows + ks:
+            assert 0 <= plane < 1 << (1 << n)
+        for m in range(1 << n):
+            for v in range(n):
+                assert xs[v] >> m & 1 == m >> v & 1
+                assert lows[v] >> m & 1 == (m & -m == 1 << v)
+            for k in range(n + 1):
+                assert ks[k] >> m & 1 == (m.bit_count() == k)
+
+
+def test_table_check_catches_a_set_below_the_lower_bound(monkeypatch):
+    # L(K5) = 4, so a table that lets {0} force contradicts tw <= Z+
+    real = engine._forcing_table
+    monkeypatch.setattr(engine, "_forcing_table", lambda adj, n: real(adj, n) | 1 << 1)
+    with pytest.raises(ConsistencyError, match="lower bound 4"):
+        psd_zero_forcing_number(complete(5))
+
+
+def test_table_check_catches_an_approved_set_that_does_not_force(monkeypatch):
+    # L = 2 < Z+ = 3: a table that approves every pair sends the first,
+    # non-forcing pair to the unlimited propagation
+    g = parse_graph6("F?Cfw")
+    assert engine._z_lower_bound(g) == 2
+    real = engine._forcing_table
+    pairs = engine._mask_planes(g.n)[2][2]
+    monkeypatch.setattr(engine, "_forcing_table", lambda adj, n: real(adj, n) | pairs)
+    with pytest.raises(ConsistencyError, match=r"approves \[0, 1\]"):
+        psd_zero_forcing_number(g)
+
+
+def test_table_leaves_every_charge_unchanged():
+    # sizes L..Z are each charged in full, though the table ends the sizes
+    # below Z unpropagated: the least budget that answers is their sum
+    checked = 0
+    for g in enumerate_graphs(7):
+        iso, floor, _ = engine._scan_floor(g)
+        z, witness = psd_zero_forcing_number(g)
+        if floor == z:
+            continue
+        i = iso.bit_count()
+        need = sum(math.comb(g.n - i, k - i) for k in range(floor, z + 1))
+        assert psd_zero_forcing_number(g, max_subsets=need) == (z, witness)
+        with pytest.raises(CapExceededError):
+            psd_zero_forcing_number(g, max_subsets=need - 1)
+        checked += 1
+    assert checked == 356
