@@ -74,6 +74,16 @@ fort: no vertex of C ever turns blue, and S does not force.
 view of standard zero forcing is Brimkov, Fast and Hicks, EJOR 2019), and
 the scans propagate only the sets it approves: a set that does not force
 has no time to offer.
+
+Once a scan has a time-2 set, only a set that forces in one round can beat
+it.  Lemma: if S forces G in at most one round, every vertex x outside S
+has a neighbour u in S whose common neighbours with x all lie in S.
+(Proof) Some u in S forces x in round 1, so x is u's only neighbour in x's
+white component C.  A white common neighbour y of u and x is adjacent to
+x, so y lies in C, and u has a second neighbour in C: a contradiction.
+``_one_round_table`` builds this condition for all 2^n masks at once.  A
+set whose bit is clear would return None under a limit of one round, so
+skipping it changes no answer, witness or charge.
 """
 
 from __future__ import annotations
@@ -90,11 +100,12 @@ from typing import Iterable, Iterator
 from .graph import Graph, as_mask, components, induced_subgraph, vlist
 
 DEFAULT_MAX_SUBSETS = 10**6  # sets one exact search call may propagate
-_SCAN_MEMO_SIZE = 256  # (graph, k) scans and graph floors kept; each pins a Graph (and table)
+_SCAN_MEMO_SIZE = 256  # (graph, k) scans, graph floors and one-round tables kept
 _SET_TIME_MEMO_SIZE = 1 << 12  # blue-mask times kept: all masks of an order-12 graph
 # Largest order given a forcing table (BENCH_fort_plane.json).  A table costs
 # 0.16 ms at order 12 and 2.0 ms at 16; the scan memo pins up to 256 of them,
-# 2 MB at order 16 and twice as much for each order above.
+# 2 MB at order 16 and twice as much for each order above.  The one-round
+# table memo pins as many again.
 _FORT_MAX_N = 16
 
 
@@ -415,6 +426,41 @@ def _forcing_table(adj: tuple[int, ...], n: int) -> int:
 
 
 @functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
+def _one_round_table(adj: tuple[int, ...], n: int) -> int:
+    """2^n-bit int whose bit S is clear only if S cannot force G in one round.
+
+    Bit S is set iff every vertex x outside S has a neighbour u in S whose
+    common neighbours with x all lie in S, which every set that forces in
+    at most one round satisfies (module docstring).  The converse fails, so
+    a set bit still needs a run.  A few big-int operations per vertex, edge
+    and common neighbour, with no loop over masks: the common neighbours of
+    an edge serve both of its ends.
+    """
+    xs = _mask_planes(n)[0]
+    ones = (1 << (1 << n)) - 1
+    reached = list(xs)  # reached[x]: masks holding x, or a u as above
+    for x in range(n):
+        nx = adj[x]
+        later = nx >> x + 1 << x + 1  # each edge once, from its lower end
+        while later:
+            low = later & -later
+            later ^= low
+            u = low.bit_length() - 1
+            common = adj[u] & nx
+            holds = ones  # masks holding every common neighbour of x and u
+            while common:
+                low = common & -common
+                common ^= low
+                holds &= xs[low.bit_length() - 1]
+            reached[x] |= xs[u] & holds
+            reached[u] |= xs[x] & holds
+    table = ones
+    for r in reached:
+        table &= r
+    return table
+
+
+@functools.lru_cache(maxsize=_SCAN_MEMO_SIZE)
 def _scan_floor(g: Graph) -> tuple[int, int, int | None]:
     """(isolated-vertex mask, L(G), forcing table): where every scan starts.
 
@@ -451,7 +497,11 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
     With a forcing table (``_scan_floor``), a size with no forcing set ends
     at once and a set that does not force is skipped unpropagated.  Such a
     set has no time, so the answer and the witness are unchanged.  The
-    first set propagated runs with no limit and must force.
+    first set propagated runs with no limit and must force.  When the limit
+    first drops to one round, the scan also asks for ``_one_round_table``
+    and skips the sets it rules out; if no size-k set is left that both
+    tables approve, the time-2 set in hand is the best, and the scan ends.
+    A scan that never reaches that limit never builds the table.
     """
     adj, n = g.adj, g.n
     iso, _, table = _scan_floor(g)
@@ -473,6 +523,10 @@ def _scan_size_k(g: Graph, k: int) -> tuple[int, int] | None:
                 if pt <= 1:  # only the full set is faster, and it has size n
                     break
                 limit = pt - 1
+                if limit == 1 and table is not None:
+                    approved = table & _one_round_table(adj, n)
+                    if not approved & _mask_planes(n)[2][k]:
+                        break
             elif limit is None and table is not None:
                 raise ConsistencyError(
                     f"the forcing table approves {vlist(mask)}, which does not force"

@@ -33,10 +33,11 @@ class Graph:
     Adjacency is one bitmask per vertex: bit v of ``adj[u]`` is set iff uv is
     an edge.  Loops and multi-edges are rejected at construction.
     ``full_mask`` is the mask of all n vertices.  Equal graphs hash alike,
-    so the engine's memos, keyed by value, serve every equal object.
+    so the engine's memos, keyed by value, serve every equal object; the
+    hash is computed once, at construction, since every memo lookup asks.
     """
 
-    __slots__ = ("n", "adj", "full_mask")
+    __slots__ = ("n", "adj", "full_mask", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -52,6 +53,7 @@ class Graph:
         self.n = n
         self.adj = tuple(rows)
         self.full_mask = (1 << n) - 1
+        self._hash = hash((n, self.adj))
 
     @classmethod
     def _from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -61,6 +63,7 @@ class Graph:
         g.adj = tuple(rows)
         g.n = len(g.adj)
         g.full_mask = (1 << g.n) - 1
+        g._hash = hash((g.n, g.adj))
         return g
 
     @property
@@ -100,7 +103,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())!r})"

@@ -10,7 +10,12 @@ def cold_engine_memos():
     canon's class cache is kept: it holds no engine answer and is expensive
     to rebuild.
     """
-    for memo in (engine._scan_size_k, engine._scan_floor, engine._set_time):
+    for memo in (
+        engine._scan_size_k,
+        engine._scan_floor,
+        engine._set_time,
+        engine._one_round_table,
+    ):
         memo.cache_clear()
 
 

@@ -4,9 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v``.  Each criterion asserts its
 exact expected values and its own wall-clock budget.
 """
 
+import json
 import math
 import os
 import time
+from collections import Counter
 
 from psdforce import (
     canonical_label,
@@ -121,6 +123,20 @@ def test_criterion_05_catalog_k4_frozen():
         assert len(records) == 93
     # classes of orders 1..8 (A000088); 13,599 would count the order-0 graph
     assert len(table) == 13598
+    # tightness census of pt+ <= ceil((n - Z+)/2), per (n, Z+), from the
+    # same table
+    classes, tight = Counter(), Counter()
+    for rec in table:
+        classes[rec.n, rec.z_plus] += 1
+        tight[rec.n, rec.z_plus] += rec.pt_plus == (rec.n - rec.z_plus + 1) // 2
+    census = [
+        json.dumps(
+            {"n": n, "z+": z, "tight": tight[n, z], "classes": classes[n, z]},
+            separators=(",", ":"),
+        )
+        for n, z in sorted(classes)
+    ]
+    assert census == _frozen("tightness_census.jsonl")
 
 
 def test_criterion_06_halving_bound_sweep():

@@ -318,6 +318,20 @@ def _random_graphs(draw, lo=7, hi=9):
     return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
 
 
+def _ref_best(g, k):
+    """The oracle's (pt, witness) over size-k sets, or None if none forces.
+
+    The first minimiser in combinations order is the least sorted tuple.
+    """
+    adj = _adj(g)
+    best = None
+    for sub in combinations(range(g.n), k):
+        t = ref_pt(adj, g.n, sub)
+        if t is not None and (best is None or t < best[0]):
+            best = (t, vset(sub))
+    return best
+
+
 @settings(max_examples=30, deadline=None)
 @given(_random_graphs())
 def test_engine_matches_reference_orders_7_to_9(g):
@@ -329,12 +343,7 @@ def test_engine_matches_reference_orders_7_to_9(g):
     assert len(vlist(z_witness)) == z == len(vlist(pt_witness))
     assert ref_pt(adj, n, vlist(pt_witness)) == pt
     for k in range(n + 1):
-        # the first minimiser in combinations order is the least sorted tuple
-        best = None
-        for sub in combinations(range(n), k):
-            t = ref_pt(adj, n, sub)
-            if t is not None and (best is None or t < best[0]):
-                best = (t, vset(sub))
+        best = _ref_best(g, k)
         if best is None:
             with pytest.raises(NoForcingSetError):
                 pt_plus_k(g, k)
@@ -440,7 +449,14 @@ def test_every_engine_memo_is_bounded(classes_by_order):
         for name, obj in vars(engine).items()
         if callable(getattr(obj, "cache_info", None))
     }
-    assert {"_scan_size_k", "_scan_floor", "_set_time", "_mask_planes"} <= set(memos)
+    required = {
+        "_scan_size_k",
+        "_scan_floor",
+        "_set_time",
+        "_mask_planes",
+        "_one_round_table",
+    }
+    assert required <= set(memos)
     for lab in classes_by_order[6]:
         g = parse_graph6(lab)
         throttling_number(g)
@@ -641,3 +657,76 @@ def test_table_leaves_every_charge_unchanged():
             psd_zero_forcing_number(g, max_subsets=need - 1)
         checked += 1
     assert checked == 356
+
+
+# ---------------------------------------------------------------------------
+# the one-round table
+
+
+def _assert_one_round_table_is_sound(g):
+    # a clear bit must mean the set cannot finish in one round
+    table = engine._one_round_table(g.adj, g.n)
+    ruled_out = 0
+    for blue in range(1 << g.n):
+        if not table >> blue & 1:
+            got = engine._pt_mask(g.adj, g.n, blue, 1)
+            assert got is None, (g.edges(), vlist(blue))
+            ruled_out += 1
+    return ruled_out
+
+
+def test_one_round_table_is_sound_up_to_order_7(classes_by_order):
+    graphs = [parse_graph6(lab) for labs in classes_by_order.values() for lab in labs]
+    graphs += enumerate_graphs(7)
+    ruled_out = sum(_assert_one_round_table_is_sound(g) for g in graphs)
+    masks = sum(1 << g.n for g in graphs)
+    # a table that rules out nothing is sound too: pin how much it rules out
+    assert (ruled_out, masks) == (104373, 144922)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_random_graphs(8, engine._FORT_MAX_N))
+def test_one_round_table_is_sound_up_to_the_cap(g):
+    _assert_one_round_table_is_sound(g)
+
+
+def test_scan_ends_when_no_size_k_set_can_force_in_one_round(scanned, monkeypatch):
+    # P4 from {1} takes 2 rounds; {2} and {3} force too, but no single
+    # vertex forces in one round, so the scan ends at {1} and draws no
+    # further set
+    drawn = []
+
+    def counting(items, r):
+        for sub in combinations(items, r):
+            drawn.append(sub)
+            yield sub
+
+    monkeypatch.setattr(engine, "combinations", counting)
+    g = path(4)
+    table = engine._scan_floor(g)[2] & engine._one_round_table(g.adj, g.n)
+    assert not table & engine._mask_planes(4)[2][1]
+    assert pt_plus_k(g, 1) == _ref_best(g, 1) == (2, 0b10)
+    assert scanned == [0b1, 0b10]
+    assert len(drawn) == 2
+
+
+def test_scan_skips_sets_that_cannot_force_in_one_round(scanned):
+    # after its first time-2 set, the scan propagates only the sets that
+    # both tables approve
+    g = parse_graph6("FBY^G")
+    best = pt_plus_k(g, 3)
+    assert best == _ref_best(g, 3) and best[0] == 2
+    floor_table = engine._scan_floor(g)[2]
+    one_round = engine._one_round_table(g.adj, g.n)
+    sets = [vset(sub) for sub in combinations(range(g.n), 3)]
+    later = [m for m in sets[sets.index(best[1]) + 1:] if floor_table >> m & 1]
+    propagated = scanned[scanned.index(best[1]) + 1:]
+    assert propagated == [m for m in later if one_round >> m & 1]
+    assert 0 < len(propagated) < len(later)
+
+
+def test_scans_that_never_reach_one_round_build_no_table():
+    star = Graph(16, [(0, v) for v in range(1, 16)])
+    for g in (path(16), cycle(16), complete(16), star):
+        psd_zero_forcing_number(g)
+    assert engine._one_round_table.cache_info().misses == 0
