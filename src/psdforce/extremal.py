@@ -43,11 +43,9 @@ class ExtremalRecord:
         return cls(g6=doc["g6"], n=doc["n"], z_plus=doc["z+"], pt_plus=doc["pt+"])
 
 
-def graph_record(g: Graph, g6: str | None = None) -> ExtremalRecord:
+def graph_record(g: Graph) -> ExtremalRecord:
     z, pt, _ = _z_and_pt(g)
-    return ExtremalRecord(
-        g6=g6 if g6 is not None else write_graph6(g), n=g.n, z_plus=z, pt_plus=pt
-    )
+    return ExtremalRecord(g6=write_graph6(g), n=g.n, z_plus=z, pt_plus=pt)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +89,9 @@ def throttling_number(
 class NGSums:
     """Graph-plus-complement sums with bound-tightness flags.
 
-    For order n: n-2 <= z_sum <= 2n-1, and 1 <= pt_sum <= n/2 + 2.  The
-    pt upper flag marks pt_sum == n/2 + 2 exactly (so only even orders can
-    set it).
+    For order n >= 2: n-2 <= z_sum <= 2n-1 and 1 <= pt_sum <= n/2 + 2 (order
+    1 sums to pt 0, z 2).  The pt upper flag marks pt_sum == n/2 + 2 exactly
+    (so only even orders can set it).
     """
 
     n: int
@@ -132,10 +130,6 @@ def ng_z_sum(g: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # exhaustive searches
-
-
-def _record_for_label(lab: str) -> ExtremalRecord:
-    return graph_record(parse_graph6(lab), g6=lab)
 
 
 def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
@@ -187,13 +181,13 @@ def _records_for_orders(
                 if cached is not None:
                     out.extend(cached)
                     continue
-            labels = [write_graph6(g) for g in enumerate_graphs(n)]
             if jobs > 1:
                 if pool is None:
                     pool = stack.enter_context(Pool(jobs))
-                records = pool.map(_record_for_label, labels, chunksize=64)
+                # imap, not map: map would list every Graph before sending any
+                records = list(pool.imap(graph_record, enumerate_graphs(n), chunksize=64))
             else:
-                records = [_record_for_label(lab) for lab in labels]
+                records = [graph_record(g) for g in enumerate_graphs(n)]
             if path is not None:
                 os.makedirs(checkpoint_dir, exist_ok=True)
                 _write_checkpoint(path, records)

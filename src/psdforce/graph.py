@@ -20,11 +20,14 @@ _SEXTET_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 text; ``offset`` is the byte position of the problem."""
+    """Malformed graph6 text at byte ``offset``, which ``str()`` appends once."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte {offset})")
+        super().__init__(message)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte {self.offset})"
 
 
 class Graph:

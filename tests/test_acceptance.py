@@ -40,7 +40,7 @@ from psdforce.families import (
     migration_demo_single,
     path,
 )
-from psdforce.graph import Graph
+from psdforce.graph import Graph, parse_graph6
 from psdforce.migration import (
     balance_propagation,
     multi_vertex_migrate,
@@ -137,6 +137,17 @@ def test_criterion_05_catalog_k4_frozen():
         for n, z in sorted(classes)
     ]
     assert census == _frozen("tightness_census.jsonl")
+    # complement sums of every order-8 class, read from the same table:
+    # Z+(G) + Z+(co-G) >= n - 2 (Ekstrand et al. 2013) and
+    # pt+(G) + pt+(co-G) <= n/2 + 2 (this paper)
+    order8 = {rec.g6: rec for rec in table if rec.n == 8}
+    pt_sums = Counter()
+    for lab, rec in order8.items():
+        co = order8[canonical_label(complement(parse_graph6(lab)))]
+        assert rec.z_plus + co.z_plus >= 8 - 2, lab
+        assert 2 * (rec.pt_plus + co.pt_plus) <= 8 + 4, lab
+        pt_sums[rec.pt_plus + co.pt_plus] += 1
+    assert pt_sums == {1: 2, 2: 2615, 3: 5630, 4: 3730, 5: 368, 6: 1}
 
 
 def test_criterion_06_halving_bound_sweep():

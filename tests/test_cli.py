@@ -74,6 +74,25 @@ def test_compute_file_reports_bad_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_compute_file_not_ascii_is_a_user_error(capsys, tmp_path):
+    corpus = tmp_path / "latin.g6"
+    corpus.write_bytes(b"DhC\nCh\xe9\n")
+    code, out, err = run(capsys, "compute", "--file", str(corpus))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {corpus}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_compute_file_bad_line_names_the_offset_once(capsys, tmp_path):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("DhC\nB!\n", encoding="ascii")
+    code, _, err = run(capsys, "compute", "--file", str(corpus))
+    assert code == 1
+    assert err == (
+        f"error: {corpus}: line 2: character '!' outside graph6 range (byte 1)\n"
+    )
+
+
 def test_simulate_table(capsys):
     code, out, _ = run(capsys, "simulate", "--g6", "DhC", "--blue", "2")
     assert code == 0
@@ -331,13 +350,13 @@ def test_surveys_resume_from_the_catalog_checkpoint(capsys, monkeypatch, tmp_pat
     with open(os.path.join(d, "ng.n6.jsonl"), "w", encoding="utf-8") as fh:
         fh.write('{"g6":"E???","n":6,"z+":6,"pt+":0,"ng_pt":9,"ng_z":9}\n{"done":1}\n')
     calls = []
-    real = extremal._record_for_label
+    real = extremal.graph_record
 
-    def counting(lab):
-        calls.append(lab)
-        return real(lab)
+    def counting(g):
+        calls.append(g)
+        return real(g)
 
-    monkeypatch.setattr(extremal, "_record_for_label", counting)
+    monkeypatch.setattr(extremal, "graph_record", counting)
     assert run(capsys, "ng", "--n", "6", "--checkpoint", d)[:2] == cold_ng[:2]
     warm_zeta = run(capsys, "extremal", "--zeta", "6", "2", "--checkpoint", d)
     assert warm_zeta[:2] == cold_zeta[:2]
@@ -423,6 +442,13 @@ def test_blue_parse_errors(capsys):
     assert code == 1 and "out of range" in err
     code, _, err = run(capsys, "simulate", "--fixture", "figure3", "--blue", "nope")
     assert code == 1 and "unknown vertex 'nope'" in err and "b1" in err
+
+
+def test_blue_rejects_non_decimal_digits(capsys):
+    # '\u00b2' passes str.isdigit but is no base-10 vertex id
+    code, _, err = run(capsys, "simulate", "--family", "path:3", "--blue", "\u00b2")
+    assert code == 1
+    assert err == "error: unknown vertex '\u00b2'\n"
 
 
 def test_graph6_parse_error(capsys):

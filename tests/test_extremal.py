@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from psdforce import CapExceededError, extremal, vset
+from psdforce import CapExceededError, canon, extremal, vset
 from psdforce.canon import canonical_label, enumerate_graphs
 from psdforce.engine import _z_and_pt
 from psdforce.extremal import (
@@ -272,6 +272,31 @@ def test_checkpoint_ignores_records_of_another_order(tmp_path):
     assert invariant_table(3, checkpoint_dir=ck) == clean
     with open(n3, encoding="utf-8") as fh:
         assert fh.read() == right
+
+
+def test_records_come_straight_from_the_enumerated_graphs(monkeypatch):
+    # one graph_record per class and no label parsed again: the record
+    # labels are canon's own, in canon's order
+    for n in range(1, 7):
+        canon._iso_classes(n)
+    records, parses = [], []
+    real = extremal.graph_record
+
+    def counting(g):
+        records.append(g)
+        return real(g)
+
+    def no_parse(text):
+        parses.append(text)
+        return parse_graph6(text)
+
+    monkeypatch.setattr(extremal, "graph_record", counting)
+    monkeypatch.setattr(extremal, "parse_graph6", no_parse)
+    table = invariant_table(6)
+    assert len(records) == len(table) == 208
+    assert parses == []
+    for n in range(1, 7):
+        assert tuple(r.g6 for r in table if r.n == n) == canon._iso_classes(n)
 
 
 def test_pool_matches_serial():

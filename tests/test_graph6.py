@@ -99,4 +99,5 @@ def test_read_lines_skips_blanks_and_comments():
 def test_read_lines_error_carries_line_number():
     with pytest.raises(Graph6Error) as exc:
         list(read_graph6_lines(["A_", "!!bad"]))
-    assert "2" in str(exc.value)
+    assert exc.value.offset == 0
+    assert str(exc.value) == "line 2: character '!' outside graph6 range (byte 0)"
