@@ -125,7 +125,7 @@ class NotForcingError(ValueError):
     """The supplied blue set does not force the whole graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForceEvent:
     """One performed force: ``forcer`` turned ``target`` blue at ``step`` (1-based)."""
 
@@ -134,7 +134,7 @@ class ForceEvent:
     step: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropagationSchedule:
     """Full record of one synchronous run.
 
@@ -321,7 +321,7 @@ def is_psd_forcing_set(g: Graph, blue: int | Iterable[int]) -> bool:
     return _set_time(g.adj, g.n, as_mask(g, blue)) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForcingForest:
     """Vertex partition induced by the assigned forces of a successful run.
 

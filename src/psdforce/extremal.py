@@ -15,7 +15,6 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import takewhile
-from multiprocessing import Pool
 from typing import Iterable
 
 from . import canon
@@ -24,7 +23,7 @@ from .engine import ConsistencyError, _budgeted_scans, _z_and_pt
 from .graph import Graph, complement, parse_graph6, write_graph6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremalRecord:
     """One graph's exact invariants, JSON-lines ready."""
 
@@ -85,7 +84,7 @@ def throttling_number(
 # complement sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NGSums:
     """Graph-plus-complement sums with bound-tightness flags.
 
@@ -183,7 +182,8 @@ def _records_for_orders(
                     continue
             if jobs > 1:
                 if pool is None:
-                    pool = stack.enter_context(Pool(jobs))
+                    import multiprocessing  # loaded only by a search that fans out
+                    pool = stack.enter_context(multiprocessing.Pool(jobs))
                 # imap, not map: map would list every Graph before sending any
                 records = list(pool.imap(graph_record, enumerate_graphs(n), chunksize=64))
             else:
@@ -258,7 +258,7 @@ def zeta(
     return best, witnesses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NGSearchResult:
     """Distribution of graph-plus-complement time sums over one order.
 

@@ -53,7 +53,7 @@ from .engine import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MigrationStep:
     before: int
     moved_out: int
@@ -74,7 +74,7 @@ class MigrationStep:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MigrationTrace:
     steps: tuple[MigrationStep, ...]
     final: int

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v``.  Each criterion asserts its
 exact expected values and its own wall-clock budget.
 """
 
+import functools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from psdforce import (
     vset,
 )
 from psdforce.extremal import (
+    NGSums,
     classify_extremal,
     invariant_table,
     ng_search,
@@ -190,19 +192,36 @@ def test_criterion_08_two_tail_family():
             assert pt == 3
 
 
+@functools.cache
+def _complement_sums() -> tuple[NGSums, ...]:
+    """The complement sums of every class of orders 2..7, in enumeration order."""
+    return tuple(ng_sums(g) for n in range(2, 8) for g in enumerate_graphs(n))
+
+
 def test_criterion_09_complement_sums():
     with _Budget(300):
-        for n in range(2, 8):
-            for g in enumerate_graphs(n):
-                s = ng_sums(g)
-                assert 1 <= s.pt_sum and 2 * s.pt_sum <= n + 4
-                assert n - 2 <= s.z_sum <= 2 * n - 1
+        for s in _complement_sums():
+            n = s.n
+            assert 1 <= s.pt_sum and 2 * s.pt_sum <= n + 4
+            assert n - 2 <= s.z_sum <= 2 * n - 1
         res = ng_search(6)
         assert 5 not in res.histogram  # no order-6 graph reaches sum 5
         assert res.max_sum == 4
         assert ng_sums(path(4)).pt_sum == 4
         for n in range(2, 8):
             assert ng_sums(complete(n)).pt_sum == 1
+
+
+def test_ekstrand_2013_nordhaus_gaddum_lower_bound():
+    # Ekstrand et al., Linear Algebra Appl. 2013: Z+(G) + Z+(co-G) >= n - 2.
+    # Read from criterion 09's sums; the counts of classes that attain it are
+    # computed here, not taken from the paper.
+    attaining = Counter()
+    for s in _complement_sums():
+        assert s.z_sum >= s.n - 2
+        assert s.z_at_lower == (s.z_sum == s.n - 2)
+        attaining[s.n] += s.z_at_lower
+    assert attaining == {2: 0, 3: 0, 4: 1, 5: 4, 6: 28, 7: 230}
 
 
 def test_criterion_10_migration_suite():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -309,13 +310,13 @@ def test_one_pool_per_search(tmp_path, monkeypatch):
     # a search opens one Pool for all its orders, and none when every order
     # is read back from its checkpoint
     starts = []
-    real = extremal.Pool
+    real = multiprocessing.Pool
 
     def counting(*args, **kwargs):
         starts.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(extremal, "Pool", counting)
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
     ck = str(tmp_path)
     cold = invariant_table(6, jobs=2, checkpoint_dir=ck)
     assert len(starts) == 1

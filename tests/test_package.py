@@ -1,0 +1,111 @@
+"""Package-wide properties: the result records, what importing loads, and
+what the sources may contain."""
+
+import ast
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psdforce
+from psdforce.engine import ForceEvent, forcing_forest, propagate
+from psdforce.extremal import graph_record, ng_search, ng_sums
+from psdforce.families import migration_demo_single, path
+from psdforce.migration import balance_propagation
+
+SRC = Path(psdforce.__file__).resolve().parent
+
+
+def _records():
+    """One real instance of each result record type, with a field to replace
+    and a new value for it."""
+    g, names = migration_demo_single()
+    blue = [names["b1"], names["b2"], names["b3"]]
+    schedule = propagate(g, blue)
+    _, trace = balance_propagation(g, blue)
+    return [
+        (ForceEvent(forcer=0, target=1, step=1), "step", 2),
+        (schedule, "succeeded", False),
+        (forcing_forest(g, schedule), "roots", ()),
+        (trace.steps[0], "forces", ()),
+        (trace, "final", 0),
+        (graph_record(path(4)), "pt_plus", 0),
+        (ng_sums(path(4)), "pt_sum", 0),
+        (ng_search(4), "attained", False),
+    ]
+
+
+RECORDS = _records()
+IDS = [type(rec).__name__ for rec, _, _ in RECORDS]
+
+
+def test_every_record_type_is_covered():
+    assert sorted(IDS) == [
+        "ExtremalRecord", "ForceEvent", "ForcingForest", "MigrationStep",
+        "MigrationTrace", "NGSearchResult", "NGSums", "PropagationSchedule",
+    ]
+    assert RECORDS[3][0].forces and RECORDS[4][0].steps  # the trace moved
+
+
+@pytest.mark.parametrize("rec, field, value", RECORDS, ids=IDS)
+def test_record_is_slotted(rec, field, value):
+    # no per-instance dict: a migration sweep keeps ~300k of these alive
+    assert not hasattr(rec, "__dict__")
+    assert type(rec).__slots__ == tuple(f.name for f in dataclasses.fields(rec))
+
+
+@pytest.mark.parametrize("rec, field, value", RECORDS, ids=IDS)
+def test_record_is_frozen(rec, field, value):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, field, value)
+
+
+@pytest.mark.parametrize("rec, field, value", RECORDS, ids=IDS)
+def test_record_pickles(rec, field, value):
+    # Pool workers send records back pickled
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec
+    assert repr(back) == repr(rec)
+
+
+@pytest.mark.parametrize("rec, field, value", RECORDS, ids=IDS)
+def test_record_replace(rec, field, value):
+    new = dataclasses.replace(rec, **{field: value})
+    assert getattr(new, field) == value
+    assert new != rec
+    assert dataclasses.replace(new, **{field: getattr(rec, field)}) == rec
+
+
+def test_record_repr_and_hash_are_unchanged():
+    ev = ForceEvent(forcer=0, target=1, step=1)
+    assert repr(ev) == "ForceEvent(forcer=0, target=1, step=1)"
+    assert hash(ev) == hash((0, 1, 1))
+    assert dataclasses.asdict(ev) == {"forcer": 0, "target": 1, "step": 1}
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a search with jobs > 1 opens a Pool and pays for its import
+    code = "import sys, psdforce, psdforce.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+
+
+def test_sources_hold_no_assert_statements():
+    # the consistency checks are plain ``if`` tests, so they also run under
+    # ``python -O``, which strips assert statements
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) == 8
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
