@@ -17,8 +17,11 @@ claimed postcondition is re-checked at runtime; a violation raises
 :class:`ConsistencyError` and means an implementation bug, not a user error.
 
 Every check reads a set's time from the engine's value-keyed memo, so a
-sweep of moves over one graph propagates each blue set once.  The checks
-are:
+sweep of moves over one graph propagates each blue set once, and each force
+switch is verified once per (graph, context set, unordered edge): the four
+readings for w -> v are those for v -> w with (a) and (d) swapped, so one
+memoised verdict loses no check (a disagreement raises and is not kept).
+The checks are:
 
 * the input forces (:class:`NotForcingError` otherwise), and every migrated
   set still forces;
@@ -34,6 +37,7 @@ are:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -46,6 +50,7 @@ from .engine import (
     ConsistencyError,
     ForceEvent,
     NotForcingError,
+    _SET_TIME_MEMO_SIZE,
     _forces,
     _set_time,
     component_pt,
@@ -100,6 +105,12 @@ def _checked_time(g: Graph, out: int) -> int:
     return pt
 
 
+@functools.lru_cache(maxsize=_SET_TIME_MEMO_SIZE)
+def _first_force(u: int, w: int) -> ForceEvent:
+    """``ForceEvent(u, w, 1)``, one shared frozen object per (forcer, target)."""
+    return ForceEvent(u, w, 1)
+
+
 def _swap_into(
     g: Graph, blue: int, comp: int, take: int | None = None
 ) -> tuple[MigrationStep, int]:
@@ -127,7 +138,7 @@ def _swap_into(
     forces = []
     for u, w in pairs[:take]:
         out = (out & ~(1 << u)) | 1 << w
-        forces.append(ForceEvent(u, w, 1))
+        forces.append(_first_force(u, w))
     if out.bit_count() != blue.bit_count():
         raise ConsistencyError("migration changed the blue-set size")
     pt = _checked_time(g, out)
@@ -160,8 +171,9 @@ def verify_force_switch(
     Each reading is computed on its own.  (a) and (d) are one BFS each over
     the white vertices from the target (w, resp. v) that stops when it meets
     another neighbour of the forcer.  (b) is :func:`graph.is_bridge` on
-    G - S, a BFS from v that skips the edge vw.  (c) is a lookup in the
-    bridges of G - S, found by DFS low-points.
+    G - S, a BFS from one end that skips the edge.  (c) is a lookup in the
+    bridges of G - S, found by DFS low-points.  One verdict is kept per
+    unordered edge, since w -> v has the same four readings.
 
     Returns (value, (a, b, c, d)) and raises :class:`ConsistencyError` if the
     four computations ever disagree.
@@ -173,20 +185,26 @@ def verify_force_switch(
         raise ValueError(f"({v},{w}) is not an edge")
     if smask & (1 << v) or smask & (1 << w):
         raise ValueError("v and w must lie outside the context set")
+    lo, hi = (v, w) if v < w else (w, v)
+    ok = _switch_verdict(g, smask, lo, hi)
+    return ok, (ok,) * 4
 
+
+@functools.lru_cache(maxsize=_SET_TIME_MEMO_SIZE)
+def _switch_verdict(g: Graph, smask: int, lo: int, hi: int) -> bool:
+    """The four readings of :func:`verify_force_switch` for lo < hi, checked."""
     adj, full = g.adj, g.full_mask
-    a = _forces(adj, smask | 1 << v, full, v, w)
-    d = _forces(adj, smask | 1 << w, full, w, v)
+    a = _forces(adj, smask | 1 << lo, full, lo, hi)
+    d = _forces(adj, smask | 1 << hi, full, hi, lo)
     # through the module: perfbench's tracer patches graph.is_bridge there
-    b = graph.is_bridge(g, v, w, smask)
-    c = (min(v, w), max(v, w)) in bridges(g, smask)
-
+    b = graph.is_bridge(g, lo, hi, smask)
+    c = (lo, hi) in bridges(g, smask)
     if not a == b == c == d:
         raise ConsistencyError(
-            f"force-switch checks disagree for s={vlist(smask)}, v={v}, w={w}: "
+            f"force-switch checks disagree for s={vlist(smask)}, v={lo}, w={hi}: "
             f"{(a, b, c, d)}"
         )
-    return a, (a, b, c, d)
+    return a
 
 
 def single_vertex_migrate(
@@ -194,6 +212,11 @@ def single_vertex_migrate(
 ) -> int:
     """Replace forcer v by its valid first-step target w; result still forces."""
     mask = as_mask(g, blue)
+    n = g.n
+    # tested inline, as in Graph.has_edge: a sweep makes one call per force
+    if not (0 <= v < n and 0 <= w < n):
+        bad = w if 0 <= v < n else v
+        raise ValueError(f"vertex {bad} out of range for order {n}")
     if not mask >> v & 1:
         raise ValueError(f"vertex {v} is not blue")
     if mask >> w & 1:

@@ -1,22 +1,21 @@
 import pytest
 
-from psdforce import engine, enumerate_graphs, write_graph6
+from psdforce import engine, enumerate_graphs, graph, migration, write_graph6
 
 
 @pytest.fixture(autouse=True)
-def cold_engine_memos():
-    """Start every test with the engine's value-keyed memos empty.
+def cold_memos():
+    """Start every test with every functools cache of engine, migration and
+    graph empty, so no answer memoised in one test answers the next.
 
     canon's class cache is kept: it holds no engine answer and is expensive
     to rebuild.
     """
-    for memo in (
-        engine._scan_size_k,
-        engine._scan_floor,
-        engine._set_time,
-        engine._one_round_table,
-    ):
-        memo.cache_clear()
+    for mod in (engine, migration, graph):
+        for obj in vars(mod).values():
+            clear = getattr(obj, "cache_clear", None)
+            if callable(clear):
+                clear()
 
 
 @pytest.fixture(scope="session")

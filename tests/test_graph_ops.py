@@ -17,7 +17,7 @@ from psdforce import (
 )
 from psdforce.families import complete, cycle, empty_graph, lollipop, path
 from psdforce.graph import as_mask
-from psdforce.migration import verify_force_switch
+from psdforce.migration import single_vertex_migrate, verify_force_switch
 
 from _oracles import ref_components
 
@@ -126,6 +126,10 @@ def test_is_bridge_agrees_with_bridges(classes_by_order):
         pytest.param(lambda g: is_bridge(g, 1, -2), -2, id="is_bridge-negative"),
         pytest.param(lambda g: verify_force_switch(g, [], 7, 1), 7, id="force_switch-past-n"),
         pytest.param(lambda g: verify_force_switch(g, [], -1, 0), -1, id="force_switch-negative"),
+        pytest.param(lambda g: single_vertex_migrate(g, [0], -1, 1), -1, id="migrate-v-negative"),
+        pytest.param(lambda g: single_vertex_migrate(g, [0], 9, 1), 9, id="migrate-v-past-n"),
+        pytest.param(lambda g: single_vertex_migrate(g, [0], 0, -3), -3, id="migrate-w-negative"),
+        pytest.param(lambda g: single_vertex_migrate(g, [0], 0, 4), 4, id="migrate-w-past-n"),
     ],
 )
 def test_vertex_ids_outside_the_graph_are_rejected(call, vertex):

@@ -23,7 +23,8 @@ from psdforce.families import (
     path,
 )
 from psdforce import migration
-from psdforce.graph import Graph
+from psdforce.engine import ForceEvent
+from psdforce.graph import Graph, bridges
 from psdforce.migration import (
     balance_propagation,
     multi_vertex_migrate,
@@ -77,6 +78,28 @@ def test_force_switch_agreement_sweep(classes_by_order):
                     assert flags == (ok,) * 4
                     checked += 1
     assert checked == 1505
+
+
+def test_force_switch_verdict_is_shared_by_both_orientations(classes_by_order):
+    # one memoised verdict per unordered edge: either orientation, asked
+    # cold or after the other one, reads the bridge test of G - S
+    verdict = migration._switch_verdict
+    for n in range(2, 7):
+        for label in classes_by_order[n]:
+            g = parse_graph6(label)
+            for s in range(1 << n):
+                bs = bridges(g, s)
+                for v, w in g.edges():
+                    if s >> v & 1 or s >> w & 1:
+                        continue
+                    want = (v, w) in bs
+                    for first, second in (((v, w), (w, v)), ((w, v), (v, w))):
+                        verdict.cache_clear()
+                        cold = verify_force_switch(g, s, *first)
+                        warm = verify_force_switch(g, s, *second)
+                        assert cold == warm == (want, (want,) * 4)
+                        info = verdict.cache_info()
+                        assert (info.hits, info.misses) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +328,34 @@ def test_balance_postcondition_sweep(classes_by_order):
                 assert all(x - y == 1 for x, y in zip(pts, pts[1:]))
 
 
+def test_first_step_events_are_shared(classes_by_order, monkeypatch):
+    # the loops' traces equal, and serialize as, traces built with a fresh
+    # ForceEvent per force; equal first-step forces are one object
+    def traces(g):
+        return [
+            loop(g, b)
+            for b in forcing_masks(g)
+            for loop in (shrink_max_component, balance_propagation)
+        ]
+
+    graphs = [parse_graph6(lab) for n in range(1, 7) for lab in classes_by_order[n]]
+    shared = [traces(g) for g in graphs]
+    monkeypatch.setattr(migration, "_first_force", lambda u, w: ForceEvent(u, w, 1))
+    fresh = [traces(g) for g in graphs]
+    by_pair = {}
+    events = 0
+    for per_shared, per_fresh in zip(shared, fresh):
+        assert per_shared == per_fresh
+        for (_, got), (_, ref) in zip(per_shared, per_fresh):
+            assert list(got.to_json_lines()) == list(ref.to_json_lines())
+            for st, st_ref in zip(got.steps, ref.steps):
+                for f, f_ref in zip(st.forces, st_ref.forces):
+                    assert f is not f_ref and f.step == 1
+                    assert by_pair.setdefault((f.forcer, f.target), f) is f
+                    events += 1
+    assert events > len(by_pair) == 30  # every ordered pair of 0..5
+
+
 # ---------------------------------------------------------------------------
 # the runtime checks fire when a computation they cross-check is wrong
 
@@ -312,6 +363,17 @@ def test_balance_postcondition_sweep(classes_by_order):
 def test_force_switch_check_catches_a_missed_bridge(monkeypatch):
     assert verify_force_switch(path(4), [], 1, 2)[0]
     monkeypatch.setattr(migration, "bridges", lambda g, removed=0: set())
+    # the warm verdict would answer without computing the readings again
+    migration._switch_verdict.cache_clear()
+    with pytest.raises(ConsistencyError, match="disagree"):
+        verify_force_switch(path(4), [], 1, 2)
+
+
+def test_force_switch_check_catches_a_missed_bridge_reversed(monkeypatch):
+    monkeypatch.setattr(migration, "bridges", lambda g, removed=0: set())
+    with pytest.raises(ConsistencyError, match="disagree"):
+        verify_force_switch(path(4), [], 2, 1)
+    # a raised check is not memoised: it raises again
     with pytest.raises(ConsistencyError, match="disagree"):
         verify_force_switch(path(4), [], 1, 2)
 
