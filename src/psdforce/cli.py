@@ -31,6 +31,7 @@ from .engine import (
 )
 from .extremal import classify_extremal, ng_search, throttling_number, zeta
 from .families import FIXTURES, make_family
+# components is unused, but perfbench/tracing.py MANIFEST lists cli as an importer
 from .graph import (
     Graph,
     Graph6Error,
@@ -76,6 +77,14 @@ def _add_io(p: argparse.ArgumentParser, *, families_only: bool = False) -> None:
     p.add_argument("--json", action="store_true", help="JSON lines instead of text")
 
 
+def _add_survey(p: argparse.ArgumentParser) -> None:
+    """--jobs, --checkpoint and --json of the exhaustive surveys."""
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="worker processes (clamped to the CPU count)")
+    p.add_argument("--checkpoint", metavar="DIR", default=None)
+    p.add_argument("--json", action="store_true")
+
+
 def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-subsets", type=_budget, default=None, metavar="M",
                    help="most sets one exact search may propagate "
@@ -105,11 +114,11 @@ def _job_count(text: str) -> int:
 def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:
     """Resolve the one chosen source into (label, graph, name map) triples."""
     if getattr(args, "g6", None) is not None:
+        label = args.g6.strip()  # parse_graph6 takes only write_graph6's output
         try:
-            g = parse_graph6(args.g6.strip())
+            return [(label, parse_graph6(label), {})]
         except Graph6Error as e:
             raise CliError(f"--g6: {e}") from None
-        return [(write_graph6(g), g, {})]
     if getattr(args, "file", None) is not None:
         if args.file == "-":
             lines = sys.stdin.readlines()
@@ -130,9 +139,9 @@ def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:
     if args.family is not None:
         try:
             g, names = make_family(args.family)
+            return [(write_graph6(g), g, dict(names))]
         except ValueError as e:
             raise CliError(str(e)) from None
-        return [(write_graph6(g), g, dict(names))]
     g, names = FIXTURES[args.fixture]()
     return [(write_graph6(g), g, dict(names))]
 
@@ -188,10 +197,10 @@ def cmd_compute(args) -> int:
     skipped = 0
     for label, g, _names in _load_inputs(args):
         try:
-            z, _ = psd_zero_forcing_number(g, max_subsets=args.max_subsets)
+            # the witness is a minimum forcing set, so its size is Z+
             pt, witness = pt_plus(g, max_subsets=args.max_subsets)
-            row: dict = {"g6": label, "n": g.n, "z+": z, "pt+": pt,
-                         "witness": vlist(witness)}
+            row: dict = {"g6": label, "n": g.n, "z+": witness.bit_count(),
+                         "pt+": pt, "witness": vlist(witness)}
             if args.throttle:
                 th, _, _ = throttling_number(g, max_subsets=args.max_subsets)
                 row["th+"] = th
@@ -247,20 +256,21 @@ def cmd_migrate(args, algorithm: int) -> int:
             f"blue set {_vset_str(blue)} is not a PSD forcing set of {label}: "
             f"propagation stalls with white {_vset_str(residual)}"
         )
-    k = blue.bit_count()
-    bound = (g.n - k + 1) // 2  # ceil((n-k)/2)
+    bound = (g.n - blue.bit_count() + 1) // 2  # ceil((n-k)/2)
+    loop = shrink_max_component if algorithm == 1 else balance_propagation
+    final, trace = loop(g, blue)
+    per_comp = component_pt(g, final)
+    # the sentinel 0 mirrors the balancing loop's gap test and times final = V
+    times = sorted([t for _, t in per_comp] + [0])
     if algorithm == 1:
-        final, trace = shrink_max_component(g, blue)
-        maxc = max((c.bit_count() for c in components(g, final)), default=0)
-        summary = {"final": vlist(final), "pt": propagate(g, final).steps,
-                   "bound": bound, "max_component": maxc, "ok": maxc <= bound}
+        key, name = "max_component", "max component"
+        value = max((c.bit_count() for c, _ in per_comp), default=0)
+        ok = value <= bound
     else:
-        final, trace = balance_propagation(g, blue)
-        # the sentinel 0 mirrors the balancing loop's gap test and times final = V
-        times = sorted([t for _, t in component_pt(g, final)] + [0])
-        gap = times[-1] - times[-2] if len(times) >= 2 else 0
-        summary = {"final": vlist(final), "pt": times[-1], "bound": bound,
-                   "gap": gap, "ok": gap <= 1 and times[-1] <= bound}
+        key, name = "gap", "time gap"
+        value = times[-1] - times[-2] if per_comp else 0
+        ok = value <= 1 and times[-1] <= bound
+    summary = {"final": vlist(final), "pt": times[-1], "bound": bound, key: value, "ok": ok}
     if args.json:
         for line in trace.to_json_lines():
             print(line)
@@ -276,14 +286,9 @@ def cmd_migrate(args, algorithm: int) -> int:
             )
         if not trace.steps:
             print("no migration needed")
-        tail = {1: "max component", 2: "time gap"}[algorithm]
-        extra = summary.get("max_component", summary.get("gap"))
-        print(
-            f"final {_vset_str(final)}  pt={summary['pt']}  "
-            f"{tail}={extra}  postcondition "
-            + ("ok" if summary["ok"] else "VIOLATED")
-        )
-    return 0 if summary["ok"] else 1
+        print(f"final {_vset_str(final)}  pt={times[-1]}  {name}={value}  "
+              f"postcondition {'ok' if ok else 'VIOLATED'}")
+    return 0 if ok else 1
 
 
 def cmd_family(args) -> int:
@@ -423,15 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated vertex ids or fixture names")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("migrate1", help="shrink the largest white component")
-    _add_io(p)
-    p.add_argument("--blue", required=True, metavar="SET")
-    p.set_defaults(fn=lambda a: cmd_migrate(a, 1))
-
-    p = sub.add_parser("migrate2", help="balance per-component times")
-    _add_io(p)
-    p.add_argument("--blue", required=True, metavar="SET")
-    p.set_defaults(fn=lambda a: cmd_migrate(a, 2))
+    for algorithm, help_ in ((1, "shrink the largest white component"),
+                             (2, "balance per-component times")):
+        p = sub.add_parser(f"migrate{algorithm}", help=help_)
+        _add_io(p)
+        p.add_argument("--blue", required=True, metavar="SET")
+        p.set_defaults(fn=lambda a, algorithm=algorithm: cmd_migrate(a, algorithm))
 
     p = sub.add_parser("family", help="emit a family graph and its name map")
     _add_io(p, families_only=True)
@@ -442,18 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalog of graphs with pt+ = n - k (1..4)")
     p.add_argument("--zeta", type=int, nargs=2, default=None,
                    metavar=("N", "K"), help="max pt+ over order-N graphs with Z+ = K")
-    p.add_argument("--jobs", type=_job_count, default=1,
-                   help="worker processes (clamped to the CPU count)")
-    p.add_argument("--checkpoint", metavar="DIR", default=None)
-    p.add_argument("--json", action="store_true")
+    _add_survey(p)
     p.set_defaults(fn=cmd_extremal)
 
     p = sub.add_parser("ng", help="graph-plus-complement time sums for one order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=_job_count, default=1,
-                   help="worker processes (clamped to the CPU count)")
-    p.add_argument("--checkpoint", metavar="DIR", default=None)
-    p.add_argument("--json", action="store_true")
+    _add_survey(p)
     p.set_defaults(fn=cmd_ng)
 
     p = sub.add_parser("verify-bounds",

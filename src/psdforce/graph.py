@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-# Largest order accepted by the graph6 parser (the 8-byte header form is
-# deliberately not supported).
-GRAPH6_MAX_N = 262143
+# Largest order of the 4-byte graph6 header: '~' and three sextets whose first
+# is at most 62, since '~~' opens the 8-byte form, which is deliberately not
+# supported.
+GRAPH6_MAX_N = 258047
 
 # graph6 byte -> its six data bits as text; a body becomes one int in a single
 # linear-time int(..., 2) call
@@ -155,6 +156,8 @@ def as_mask(g: Graph, vertices: int | Iterable[int]) -> int:
 def _g6_header(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"graph order {n} beyond graph6 range (at most {GRAPH6_MAX_N})")
     # 18-bit header: '~' then three sextets, most significant first.
     return "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
 
@@ -219,8 +222,6 @@ def parse_graph6(text: str) -> Graph:
         pos = 1
     if n < 1:
         raise Graph6Error(f"graph order must be >= 1, got {n}", 0)
-    if n > GRAPH6_MAX_N:
-        raise Graph6Error(f"graph order {n} beyond supported range", 0)
 
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6

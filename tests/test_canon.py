@@ -6,6 +6,7 @@ import random
 import pytest
 
 from psdforce import (
+    ConsistencyError,
     Graph,
     canon,
     canonical_form,
@@ -163,6 +164,14 @@ def test_generators_are_automorphisms(classes_by_order):
         for gen in canon._automorphism_generators(g):
             assert sorted(gen) == list(range(g.n))
             assert _relabel(g, gen) == g
+
+
+def test_orbit_masks_check_each_generator(monkeypatch):
+    # swapping the end 0 with the middle 1 of the path 0-1-2 is no automorphism
+    monkeypatch.setattr(canon, "_automorphism_generators", lambda g: [[1, 0, 2]])
+    with pytest.raises(ConsistencyError) as exc:
+        canon._orbit_least_masks(path(3))
+    assert str(exc.value) == "generator [1, 0, 2] is not an automorphism"
 
 
 def test_connected_class_counts():

@@ -11,6 +11,7 @@ import pytest
 
 from psdforce import cli, engine, extremal
 from psdforce.cli import build_parser, main
+from psdforce.graph import write_graph6
 from psdforce.migration import ConsistencyError
 
 
@@ -37,6 +38,25 @@ def test_compute_json(capsys):
     code, out, _ = run(capsys, "compute", "--family", "path:5", "--json")
     assert code == 0
     assert out == '{"g6":"DhC","n":5,"z+":1,"pt+":2,"witness":[2]}\n'
+
+
+@pytest.mark.parametrize("flags", [[], ["--throttle"]], ids=["plain", "throttle"])
+def test_compute_walks_the_scans_once_per_row(capsys, monkeypatch, tmp_path, flags):
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_text("DhC\nCh\nBw\nC?\n", encoding="ascii")
+    rows = []
+    real = engine._z_and_pt
+
+    def counting(g, max_subsets=None):
+        rows.append(write_graph6(g))
+        return real(g, max_subsets)
+
+    monkeypatch.setattr(engine, "_z_and_pt", counting)
+    code, out, _ = run(capsys, "compute", "--file", str(corpus), "--json", *flags)
+    assert code == 0
+    assert rows == ["DhC", "Ch", "Bw", "C?"]
+    # Z+ is read off the witness, a minimum forcing set
+    assert [json.loads(ln)["z+"] for ln in out.splitlines()] == [1, 1, 2, 4]
 
 
 def test_compute_throttle(capsys):
@@ -183,6 +203,32 @@ def test_migrate_rejects_non_forcing(capsys):
     assert code == 1
     assert out == ""
     assert "not a PSD forcing set" in err and "stalls" in err
+
+
+@pytest.mark.parametrize("command,loop", [
+    ("migrate1", "shrink_max_component"),
+    ("migrate2", "balance_propagation"),
+])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_migrate_reads_one_summary_after_its_loop(capsys, monkeypatch, command, loop, flags):
+    # after the loop: one component_pt call, and no propagate or components
+    calls = []
+
+    def logged(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in (loop, "component_pt", "propagate", "components"):
+        monkeypatch.setattr(cli, name, logged(name))
+    code, out, _ = run(capsys, command, "--family", "path:7", "--blue", "0", *flags)
+    assert code == 0
+    assert ('"moved_in"' if flags else "pass 1:") in out  # the loop moved the set
+    assert calls == [loop, "component_pt"]
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
@@ -449,6 +495,39 @@ def test_blue_rejects_non_decimal_digits(capsys):
     code, _, err = run(capsys, "simulate", "--family", "path:3", "--blue", "\u00b2")
     assert code == 1
     assert err == "error: unknown vertex '\u00b2'\n"
+
+
+# (command line, message) of each input error that ends in one line; {tmp}
+# is the test's own directory, which holds two.g6
+USER_ERRORS = [
+    (["compute", "--file", "{tmp}/missing.g6"],
+     "[Errno 2] No such file or directory: '{tmp}/missing.g6'"),
+    (["compute", "--family", "bogus:3"], "unknown family 'bogus'"),
+    (["simulate", "--file", "{tmp}/two.g6", "--blue", "0"],
+     "this command needs exactly one graph, got 2"),
+    (["extremal", "--zeta", "3", "5"], "need 1 <= k <= n, got k=5, n=3"),
+    (["compute", "--family", "lollipop:4"], "family 'lollipop' takes two parameters m,r"),
+    (["family", "--family", "empty:258048"],
+     "graph order 258048 beyond graph6 range (at most 258047)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", USER_ERRORS,
+    ids=["unopenable-file", "unknown-family", "two-graphs", "zeta-k-above-n",
+         "family-arity", "past-graph6-order"],
+)
+def test_input_errors_end_in_one_line(capsys, tmp_path, argv, message):
+    (tmp_path / "two.g6").write_text("DhC\nCh\n", encoding="ascii")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+def test_g6_label_is_the_input_text(capsys):
+    # parse_graph6 accepts only the text write_graph6 writes back
+    code, out, _ = run(capsys, "compute", "--g6", " DhC\n", "--json")
+    assert code == 0
+    assert json.loads(out)["g6"] == "DhC"
 
 
 def test_graph6_parse_error(capsys):

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from psdforce import CapExceededError, canon, extremal, vset
+from psdforce import CapExceededError, canon, extremal, vlist, vset
 from psdforce.canon import canonical_label, enumerate_graphs
 from psdforce.engine import _z_and_pt
 from psdforce.extremal import (
@@ -21,7 +21,7 @@ from psdforce.extremal import (
     zeta,
 )
 from psdforce.families import complete, empty_graph, path
-from psdforce.graph import complement, parse_graph6, write_graph6
+from psdforce.graph import Graph, complement, is_connected, parse_graph6, write_graph6
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -144,6 +144,72 @@ def test_zeta_rejects_bad_args():
         zeta(3, 0)
     with pytest.raises(ValueError):
         zeta(3, 4)
+
+
+def test_zeta_reports_a_forcing_number_no_graph_has(monkeypatch):
+    # on valid input every k in 1..n is attained: the path has Z+ = 1, K_a
+    # beside a path on n - a vertices has a (2 <= a <= n - 1, since Z+ adds
+    # over components) and the edgeless graph has n
+    for n in range(3, 8):
+        for a in range(2, n):
+            clique = [(u, v) for v in range(a) for u in range(v)]
+            tail = [(v, v + 1) for v in range(a, n - 1)]
+            assert _z_and_pt(Graph(n, clique + tail))[0] == a
+    # so only a table missing a row reaches the error
+    monkeypatch.setattr(extremal, "_records_for_orders",
+                        lambda orders, jobs=1, checkpoint_dir=None: [graph_record(complete(4))])
+    with pytest.raises(ValueError) as exc:
+        zeta(4, 1)
+    assert str(exc.value) == "no graph of order 4 has forcing number 1"
+
+
+def _radius(g):
+    # least eccentricity of a connected graph, by breadth-first search
+    def ecc(v):
+        seen = frontier = 1 << v
+        t = 0
+        while seen != g.full_mask:
+            reach = 0
+            for u in vlist(frontier):
+                reach |= g.adj[u]
+            frontier = reach & ~seen
+            seen |= frontier
+            t += 1
+        return t
+
+    return min(ecc(v) for v in range(g.n))
+
+
+def test_trees_are_the_graphs_of_forcing_number_one():
+    """Z+(G) = 1 exactly when G is a tree, and then pt+(G) is its radius.
+
+    Z+(G) >= tw(G) (Barioli et al., J. Graph Theory 2013), and Z+ adds over
+    components, each of which needs a blue vertex.  So Z+(G) = 1 makes G
+    connected with treewidth at most 1: a tree.  In a tree, two white
+    neighbours of a blue vertex never share a white component, since a white
+    path between them would close a cycle; so every blue vertex forces all
+    its white neighbours each round.  From a single vertex v, round t then
+    colours exactly the vertices at distance t from v: {v} forces, in
+    ecc(v) rounds, and the best single vertex takes the radius.
+
+    So the Z+ = 1 row of the tightness census counts the trees with
+    radius ceil((n - 1)/2).  A tree's radius is ceil(diam/2), and
+    diam <= n - 1.  At even n only the path reaches n/2.  At odd n >= 3 the
+    path and the trees of diameter n - 2 reach (n - 1)/2; the latter are the
+    path on n - 1 vertices with a leaf on one of its n - 3 inner vertices,
+    (n - 3)/2 classes up to reflection, so (n - 1)/2 in all.  At n = 1 the
+    single vertex is tight, with time 0 = ceil(0/2).
+    """
+    for rec in invariant_table(7):
+        g = parse_graph6(rec.g6)
+        tree = g.num_edges == g.n - 1 and is_connected(g)
+        assert (rec.z_plus == 1) == tree, rec.g6
+        if tree:
+            assert rec.pt_plus == _radius(g), rec.g6
+    with open(os.path.join(DATA, "tightness_census.jsonl"), encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    tight = {row["n"]: row["tight"] for row in rows if row["z+"] == 1}
+    assert tight == {n: 1 if n % 2 == 0 or n == 1 else (n - 1) // 2 for n in range(1, 9)}
 
 
 def _brute_force_zeta(n, k):

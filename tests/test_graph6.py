@@ -1,10 +1,13 @@
 """graph6 encoding and decoding."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdforce import (
+    GRAPH6_MAX_N,
     Graph,
     Graph6Error,
     enumerate_graphs,
@@ -13,6 +16,7 @@ from psdforce import (
     write_graph6,
 )
 from psdforce.families import complete, empty_graph, path
+from psdforce.graph import _g6_header
 
 
 KNOWN = [
@@ -59,6 +63,24 @@ def test_long_header_starts_at_63():
     assert write_graph6(empty_graph(63)).startswith("~")
 
 
+def test_long_header_ends_at_graph6_max_n():
+    # a first sextet of 63 would read as '~~', the 8-byte form
+    assert GRAPH6_MAX_N == 258047
+    assert _g6_header(GRAPH6_MAX_N) == "~}~~"
+    for n in (GRAPH6_MAX_N + 1, 262143, 262144):
+        with pytest.raises(ValueError, match=f"^graph order {n} beyond graph6 range "
+                                             r"\(at most 258047\)$"):
+            _g6_header(n)
+
+
+def test_write_refuses_an_order_past_the_header_at_once():
+    # the body of order 258048 has 33 billion bits, so the header is checked
+    # first: a stand-in with no adjacency would fail on any body bit
+    for g in (SimpleNamespace(n=GRAPH6_MAX_N + 1), Graph(GRAPH6_MAX_N + 1)):
+        with pytest.raises(ValueError, match="^graph order 258048 beyond graph6 range"):
+            write_graph6(g)
+
+
 # (text, message, byte offset) of every way parse_graph6 rejects its input
 MALFORMED = [
     ("", "empty graph6 string", 0),
@@ -67,6 +89,8 @@ MALFORMED = [
     ("~~", "graph order beyond supported range", 0),
     ("~?", "truncated extended-order header", 2),
     ("~???", "extended header used for small order", 0),
+    # the largest 4-byte header, n = 258047, with no body after it
+    ("~}~~", "truncated graph6 body", 4),
     ("?", "graph order must be >= 1, got 0", 0),
     ("B", "truncated graph6 body", 1),
     ("Bww", "trailing data after graph6 body", 2),

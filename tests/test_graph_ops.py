@@ -158,3 +158,19 @@ def test_induced_subgraph():
     assert sub.n == 3
     assert old_to_new == {1: 0, 2: 1, 4: 2}
     assert list(sub.edges()) == [(0, 1)]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: vset([-1]), "negative vertex id -1", id="vset-negative"),
+        pytest.param(lambda: is_bridge(path(3), 0, 2), "(0,2) is not an edge",
+                     id="is-bridge-non-edge"),
+        pytest.param(lambda: induced_subgraph(path(3), 0),
+                     "cannot induce on an empty vertex set", id="induce-on-nothing"),
+    ],
+)
+def test_vertex_set_input_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

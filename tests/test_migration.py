@@ -63,27 +63,13 @@ def test_force_switch_rejects():
         verify_force_switch(g, [], 0, 2)
 
 
-def test_force_switch_agreement_sweep(classes_by_order):
-    # the function cross-checks four independent computations and raises
-    # ConsistencyError on any disagreement, so calling it is the assertion
-    checked = 0
-    for n in range(2, 6):
-        for label in classes_by_order[n]:
-            g = parse_graph6(label)
-            for s in range(1 << n):
-                for v, w in g.edges():
-                    if s >> v & 1 or s >> w & 1:
-                        continue
-                    ok, flags = verify_force_switch(g, s, v, w)
-                    assert flags == (ok,) * 4
-                    checked += 1
-    assert checked == 1505
-
-
 def test_force_switch_verdict_is_shared_by_both_orientations(classes_by_order):
     # one memoised verdict per unordered edge: either orientation, asked
-    # cold or after the other one, reads the bridge test of G - S
+    # cold or after the other one, reads the bridge test of G - S; each cold
+    # call cross-checks four independent readings and raises
+    # ConsistencyError on any disagreement
     verdict = migration._switch_verdict
+    checked = 0  # (S, edge) pairs of orders 2..5, one orientation each
     for n in range(2, 7):
         for label in classes_by_order[n]:
             g = parse_graph6(label)
@@ -100,6 +86,8 @@ def test_force_switch_verdict_is_shared_by_both_orientations(classes_by_order):
                         assert cold == warm == (want, (want,) * 4)
                         info = verdict.cache_info()
                         assert (info.hits, info.misses) == (1, 1)
+                    checked += n <= 5
+    assert checked == 1505
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +376,17 @@ def test_balance_check_catches_an_unchanged_time(monkeypatch):
     monkeypatch.setattr(migration, "_set_time", unchanged)
     with pytest.raises(ConsistencyError, match="expected -1"):
         balance_propagation(g, {0})
+
+
+def test_balance_check_catches_a_time_above_the_halving_bound(monkeypatch):
+    # {0} in the path on 5 vertices: k = 1, bound 2; the set reports time 3
+    # and one white component of time 1, so the loop stops at once
+    g = path(5)
+    monkeypatch.setattr(migration, "_set_time", lambda adj, n, blue: 3)
+    monkeypatch.setattr(migration, "component_pt", lambda g, blue: [(0b11110, 1)])
+    with pytest.raises(ConsistencyError) as exc:
+        balance_propagation(g, {0})
+    assert str(exc.value) == "balanced set has time 3, above the halving bound 2"
 
 
 def test_shrink_check_catches_a_component_that_did_not_shrink(monkeypatch):
