@@ -63,13 +63,27 @@ def test_force_switch_rejects():
         verify_force_switch(g, [], 0, 2)
 
 
+def test_force_switch_agreement_sweep(classes_by_order):
+    # the function cross-checks four independent computations and raises
+    # ConsistencyError on any disagreement, so calling it is the assertion
+    checked = 0
+    for n in range(2, 6):
+        for label in classes_by_order[n]:
+            g = parse_graph6(label)
+            for s in range(1 << n):
+                for v, w in g.edges():
+                    if s >> v & 1 or s >> w & 1:
+                        continue
+                    ok, flags = verify_force_switch(g, s, v, w)
+                    assert flags == (ok,) * 4
+                    checked += 1
+    assert checked == 1505
+
+
 def test_force_switch_verdict_is_shared_by_both_orientations(classes_by_order):
     # one memoised verdict per unordered edge: either orientation, asked
-    # cold or after the other one, reads the bridge test of G - S; each cold
-    # call cross-checks four independent readings and raises
-    # ConsistencyError on any disagreement
+    # cold or after the other one, reads the bridge test of G - S
     verdict = migration._switch_verdict
-    checked = 0  # (S, edge) pairs of orders 2..5, one orientation each
     for n in range(2, 7):
         for label in classes_by_order[n]:
             g = parse_graph6(label)
@@ -86,8 +100,6 @@ def test_force_switch_verdict_is_shared_by_both_orientations(classes_by_order):
                         assert cold == warm == (want, (want,) * 4)
                         info = verdict.cache_info()
                         assert (info.hits, info.misses) == (1, 1)
-                    checked += n <= 5
-    assert checked == 1505
 
 
 # ---------------------------------------------------------------------------
