@@ -36,7 +36,7 @@ import functools
 from typing import Iterator
 
 # components is unused, but perfbench/tracing.py MANIFEST lists canon as an importer
-from .graph import Graph, _graph6_of_columns, components, parse_graph6, write_graph6
+from .graph import Graph, _g6_body, _g6_header, components, parse_graph6, write_graph6
 from .engine import ConsistencyError
 
 CANON_MAX_N = 10
@@ -160,7 +160,10 @@ def canonical_form(g: Graph) -> Graph:
 
 def canonical_label(g: Graph) -> str:
     """Canonical graph6 string; equal labels iff isomorphic graphs."""
-    return _graph6_of_columns(_canonical_search(g)[1])
+    body = 0
+    for v, col in enumerate(_canonical_search(g)[1]):
+        body = body << v | col
+    return _g6_header(g.n) + _g6_body(g.n * (g.n - 1) // 2, body)
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def cmd_extremal(args) -> int:
         try:
             records = classify_extremal(args.k, jobs=args.jobs,
                                         checkpoint_dir=args.checkpoint)
-        except ValueError as e:
+        except (ValueError, OSError) as e:
             raise CliError(str(e)) from None
         if args.json:
             for rec in records:
@@ -328,7 +328,7 @@ def cmd_extremal(args) -> int:
     try:
         value, witnesses = zeta(n, k, jobs=args.jobs,
                                 checkpoint_dir=args.checkpoint)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise CliError(str(e)) from None
     if args.json:
         print(_jline({"n": n, "k": k, "zeta": value, "witnesses": witnesses}))
@@ -344,7 +344,7 @@ def cmd_ng(args) -> int:
     t0 = time.monotonic()
     try:
         res = ng_search(args.n, jobs=args.jobs, checkpoint_dir=args.checkpoint)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise CliError(str(e)) from None
     if args.json:
         print(_jline({

@@ -169,6 +169,8 @@ def _records_for_orders(
     on the first order computed and serves every later one, so a run that
     resumes every order opens none.
     """
+    if checkpoint_dir is not None:  # an unusable directory fails before any work
+        os.makedirs(checkpoint_dir, exist_ok=True)
     out: list[ExtremalRecord] = []
     with ExitStack() as stack:
         pool = None
@@ -189,7 +191,6 @@ def _records_for_orders(
             else:
                 records = [graph_record(g) for g in enumerate_graphs(n)]
             if path is not None:
-                os.makedirs(checkpoint_dir, exist_ok=True)
                 _write_checkpoint(path, records)
             out.extend(records)
     return out

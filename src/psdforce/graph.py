@@ -8,6 +8,8 @@ changes structure returns a new :class:`Graph`.
 
 from __future__ import annotations
 
+import binascii
+import re
 from typing import Iterable, Iterator
 
 # Largest order of the 4-byte graph6 header: '~' and three sextets whose first
@@ -15,9 +17,13 @@ from typing import Iterable, Iterator
 # supported.
 GRAPH6_MAX_N = 258047
 
-# graph6 byte -> its six data bits as text; a body becomes one int in a single
-# linear-time int(..., 2) call
-_SEXTET_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+# graph6 packs its bits into sextets, most significant first, as base64 does,
+# with chr(63 + x) for base64's x-th character: binascii codes a body of any
+# size in linear time, through this one alphabet in either direction.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_OUTSIDE_G6 = re.compile(r"[^?-~]")
 
 
 class Graph6Error(ValueError):
@@ -158,43 +164,25 @@ def _g6_header(n: int) -> str:
         return chr(63 + n)
     if n > GRAPH6_MAX_N:
         raise ValueError(f"graph order {n} beyond graph6 range (at most {GRAPH6_MAX_N})")
-    # 18-bit header: '~' then three sextets, most significant first.
-    return "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    return "~" + _g6_body(18, n)  # 18-bit header: '~' then three sextets
+
+
+def _g6_body(nbits: int, body: int) -> str:
+    # graph6 text of the nbits-bit int body, packed in whole base64 quanta
+    nbytes = -(-nbits // 24) * 3
+    raw = (body << 8 * nbytes - nbits).to_bytes(nbytes, "big")
+    text = binascii.b2a_base64(raw, newline=False)[: (nbits + 5) // 6]
+    return text.translate(_TO_G6).decode("ascii")
 
 
 def write_graph6(g: Graph) -> str:
     """Serialize to a graph6 line (no trailing newline)."""
-    out = [_g6_header(g.n)]
-    buf = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.adj[v]
-        for u in range(v):
-            buf = buf << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + buf))
-                buf = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (buf << (6 - nbits))))
-    return "".join(out)
-
-
-def _graph6_of_columns(cols: list[int]) -> str:
-    # graph6 of the graph whose column v holds its edges to u = 0..v-1, u = 0
-    # the most significant bit.  Quadratic in n: fast at the orders of
-    # canonical labels, while write_graph6 stays linear.
-    n = len(cols)
-    body = 0
-    for v, col in enumerate(cols):
-        body = body << v | col
-    nbits = n * (n - 1) // 2
-    nchars = (nbits + 5) // 6
-    body <<= 6 * nchars - nbits
-    return _g6_header(n) + "".join(
-        chr(63 + (body >> 6 * i & 63)) for i in reversed(range(nchars))
-    )
+    header = _g6_header(g.n)  # refuses an order past GRAPH6_MAX_N before the body
+    # column v, u = 0 first, is the low v bits of adj[v] reversed; the bit at
+    # n keeps each binary text long enough
+    top = 1 << g.n
+    bits = "".join([bin(row | top)[:-v - 1:-1] for v, row in enumerate(g.adj)])
+    return header + _g6_body(len(bits), int(bits or "0", 2))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -202,18 +190,14 @@ def parse_graph6(text: str) -> Graph:
     s = text.rstrip("\n\r")
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    for i, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"character {ch!r} outside graph6 range", i)
-    pos = 0
+    if bad := _OUTSIDE_G6.search(s):
+        raise Graph6Error(f"character {bad[0]!r} outside graph6 range", bad.start())
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise Graph6Error("graph order beyond supported range", 0)
         if len(s) < 4:
             raise Graph6Error("truncated extended-order header", len(s))
-        n = 0
-        for i in range(1, 4):
-            n = n << 6 | (ord(s[i]) - 63)
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | ord(s[3]) - 63
         pos = 4
         if n <= 62:
             raise Graph6Error("extended header used for small order", 0)
@@ -230,17 +214,25 @@ def parse_graph6(text: str) -> Graph:
     if len(s) - pos > nchars:
         raise Graph6Error("trailing data after graph6 body", pos + nchars)
 
-    body = int(s[pos:].translate(_SEXTET_BITS) or "0", 2)
+    # pad < 6, so the padding bits are the low bits of the last sextet
     pad = 6 * nchars - nbits
-    if body & ((1 << pad) - 1):
+    if (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", pos + nchars - 1)
-    body >>= pad
-    # upper triangle, column-major: column v holds u = 0..v-1, u = 0 highest
+    # to base64 (a bytes table maps a str by code point), "A"-filled to 4k chars
+    raw = binascii.a2b_base64(s[pos:].translate(_FROM_G6) + "A" * (-nchars % 4))
+    # upper triangle, column-major: column v holds u = 0..v-1, u = 0 highest;
+    # a window holds the `have` unread bits of raw[:i], so shifts stay small
     rows = [0] * n
-    left = nbits
+    window = have = i = 0
     for v in range(1, n):
-        left -= v
-        col = body >> left & ((1 << v) - 1)
+        while have < v:
+            chunk = raw[i:i + 512]
+            window &= (1 << have) - 1
+            window = window << 8 * len(chunk) | int.from_bytes(chunk, "big")
+            have += 8 * len(chunk)
+            i += 512
+        have -= v
+        col = window >> have & (1 << v) - 1
         while col:
             low = col & -col
             col ^= low

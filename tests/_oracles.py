@@ -105,3 +105,21 @@ def ref_isomorphic(n1, edges1, n2, edges2):
         if all(frozenset({perm[u], perm[w]}) in e2 for u, w in map(tuple, e1)):
             return True
     return False
+
+
+def ref_graph6(n, edges):
+    """graph6 text from the format's definition (B. D. McKay, formats.txt).
+
+    The order is one byte 63 + n below 63, else '~' then n in three sextets.
+    The body lists x(u, v) for v = 1..n-1 and u = 0..v-1 as bits, pads them
+    with zeros to a multiple of six and writes each sextet x as chr(63 + x).
+    """
+    edge_set = {frozenset(e) for e in edges}
+    if n <= 62:
+        header = [n]
+    else:
+        header = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    bits = [int(frozenset((u, v)) in edge_set) for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    sextets = [int("".join(map(str, bits[i:i + 6])), 2) for i in range(0, len(bits), 6)]
+    return "".join(chr(63 + x) for x in header + sextets)

@@ -509,13 +509,19 @@ USER_ERRORS = [
     (["compute", "--family", "lollipop:4"], "family 'lollipop' takes two parameters m,r"),
     (["family", "--family", "empty:258048"],
      "graph order 258048 beyond graph6 range (at most 258047)"),
+    # the checkpoint directory is made before the first order is computed
+    (["ng", "--n", "3", "--checkpoint", "{tmp}/two.g6"],
+     "[Errno 17] File exists: '{tmp}/two.g6'"),
+    (["extremal", "--k", "1", "--checkpoint", "{tmp}/two.g6/sub"],
+     "[Errno 20] Not a directory: '{tmp}/two.g6/sub'"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,message", USER_ERRORS,
     ids=["unopenable-file", "unknown-family", "two-graphs", "zeta-k-above-n",
-         "family-arity", "past-graph6-order"],
+         "family-arity", "past-graph6-order", "checkpoint-is-a-file",
+         "checkpoint-under-a-file"],
 )
 def test_input_errors_end_in_one_line(capsys, tmp_path, argv, message):
     (tmp_path / "two.g6").write_text("DhC\nCh\n", encoding="ascii")
