@@ -136,14 +136,11 @@ def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:
             ]
         except Graph6Error as e:
             raise CliError(f"{args.file}: {e}") from None
-    if args.family is not None:
-        try:
-            g, names = make_family(args.family)
-            return [(write_graph6(g), g, dict(names))]
-        except ValueError as e:
-            raise CliError(str(e)) from None
-    g, names = FIXTURES[args.fixture]()
-    return [(write_graph6(g), g, dict(names))]
+    try:  # make_family also builds the fixtures by name
+        g, names = make_family(args.family if args.family is not None else args.fixture)
+        return [(write_graph6(g), g, dict(names))]
+    except ValueError as e:
+        raise CliError(str(e)) from None
 
 
 def _load_single(args) -> tuple[str, Graph, dict[str, int]]:
@@ -188,34 +185,58 @@ def _print_table(rows: list[dict], columns: list[str]) -> None:
         print("  ".join(r[c].ljust(widths[c]) for c in columns).rstrip())
 
 
+def _per_graph(args, row) -> tuple[list[dict], int]:
+    """``row(label, g)`` of each input graph, in input order: (rows, skipped).
+
+    A graph over its subset budget is skipped with a warning on stderr.
+    """
+    rows = []
+    skipped = 0
+    for label, g, _names in _load_inputs(args):
+        try:
+            rows.append(row(label, g))
+        except CapExceededError as e:
+            _note(f"warning: {label}: skipped: {e}")
+            skipped += 1
+    return rows, skipped
+
+
+def _emit(args, rows: list[dict], columns: list[str], cells=None) -> None:
+    """JSON lines with --json, else a table of ``cells(row)`` (default: the row)."""
+    if args.json:
+        for row in rows:
+            print(_jline(row))
+    else:
+        _print_table([cells(r) for r in rows] if cells else rows, columns)
+
+
+def _survey(args, search, *params):
+    """``search(*params)`` with --jobs and --checkpoint; its input and I/O
+    errors end in one line."""
+    try:
+        return search(*params, jobs=args.jobs, checkpoint_dir=args.checkpoint)
+    except (ValueError, OSError) as e:
+        raise CliError(str(e)) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_compute(args) -> int:
-    rows = []
-    skipped = 0
-    for label, g, _names in _load_inputs(args):
-        try:
-            # the witness is a minimum forcing set, so its size is Z+
-            pt, witness = pt_plus(g, max_subsets=args.max_subsets)
-            row: dict = {"g6": label, "n": g.n, "z+": witness.bit_count(),
-                         "pt+": pt, "witness": vlist(witness)}
-            if args.throttle:
-                th, _, _ = throttling_number(g, max_subsets=args.max_subsets)
-                row["th+"] = th
-            rows.append(row)
-        except CapExceededError as e:
-            _note(f"warning: {label}: skipped: {e}")
-            skipped += 1
-    if args.json:
-        for row in rows:
-            print(_jline(row))
-    else:
-        shown = [dict(r, witness=_vset_str(sum(1 << v for v in r["witness"])))
-                 for r in rows]
-        cols = ["g6", "n", "z+", "pt+", "witness"] + (["th+"] if args.throttle else [])
-        _print_table(shown, cols)
+    def row(label: str, g: Graph) -> dict:
+        # the witness is a minimum forcing set, so its size is Z+
+        pt, witness = pt_plus(g, max_subsets=args.max_subsets)
+        out = {"g6": label, "n": g.n, "z+": witness.bit_count(),
+               "pt+": pt, "witness": vlist(witness)}
+        if args.throttle:
+            out["th+"], _, _ = throttling_number(g, max_subsets=args.max_subsets)
+        return out
+
+    rows, skipped = _per_graph(args, row)
+    _emit(args, rows,
+          ["g6", "n", "z+", "pt+", "witness"] + (["th+"] if args.throttle else []),
+          lambda r: dict(r, witness=_vset_str(sum(1 << v for v in r["witness"]))))
     _note(f"compute: {len(rows)} graph(s), {skipped} skipped")
     return 1 if skipped else 0
 
@@ -307,29 +328,14 @@ def cmd_extremal(args) -> int:
         raise CliError("choose exactly one of --k or --zeta")
     t0 = time.monotonic()
     if args.k is not None:
-        try:
-            records = classify_extremal(args.k, jobs=args.jobs,
-                                        checkpoint_dir=args.checkpoint)
-        except (ValueError, OSError) as e:
-            raise CliError(str(e)) from None
-        if args.json:
-            for rec in records:
-                print(rec.to_json())
-        else:
-            _print_table(
-                [{"g6": r.g6, "n": r.n, "z+": r.z_plus, "pt+": r.pt_plus}
-                 for r in records],
-                ["g6", "n", "z+", "pt+"],
-            )
+        records = _survey(args, classify_extremal, args.k)
+        _emit(args, [{"g6": r.g6, "n": r.n, "z+": r.z_plus, "pt+": r.pt_plus}
+                     for r in records], ["g6", "n", "z+", "pt+"])
         _note(f"extremal k={args.k}: {len(records)} graphs "
               f"in {time.monotonic() - t0:.2f}s")
         return 0
     n, k = args.zeta
-    try:
-        value, witnesses = zeta(n, k, jobs=args.jobs,
-                                checkpoint_dir=args.checkpoint)
-    except (ValueError, OSError) as e:
-        raise CliError(str(e)) from None
+    value, witnesses = _survey(args, zeta, n, k)
     if args.json:
         print(_jline({"n": n, "k": k, "zeta": value, "witnesses": witnesses}))
     else:
@@ -342,10 +348,7 @@ def cmd_extremal(args) -> int:
 
 def cmd_ng(args) -> int:
     t0 = time.monotonic()
-    try:
-        res = ng_search(args.n, jobs=args.jobs, checkpoint_dir=args.checkpoint)
-    except (ValueError, OSError) as e:
-        raise CliError(str(e)) from None
+    res = _survey(args, ng_search, args.n)
     if args.json:
         print(_jline({
             "n": res.n,
@@ -367,38 +370,24 @@ def cmd_ng(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    rows = []
-    skipped = 0
-    violations = 0
-    for label, g, _names in _load_inputs(args):
-        try:
-            z, _ = psd_zero_forcing_number(g, max_subsets=args.max_subsets)
-            bad = []
-            tight = []
-            for k in range(z, g.n + 1):
-                pt, _ = pt_plus_k(g, k, max_subsets=args.max_subsets)
-                bound = (g.n - k + 1) // 2
-                if pt > bound:
-                    bad.append(k)
-                elif pt == bound and pt > 0:
-                    tight.append(k)
-        except CapExceededError as e:
-            _note(f"warning: {label}: skipped: {e}")
-            skipped += 1
-            continue
-        violations += len(bad)
-        rows.append({"g6": label, "n": g.n, "z+": z,
-                     "violations": bad, "tight": tight})
-    if args.json:
-        for row in rows:
-            print(_jline(row))
-    else:
-        _print_table(
-            [dict(r, violations=",".join(map(str, r["violations"])) or "-",
-                  tight=",".join(map(str, r["tight"])) or "-")
-             for r in rows],
-            ["g6", "n", "z+", "violations", "tight"],
-        )
+    def row(label: str, g: Graph) -> dict:
+        z, _ = psd_zero_forcing_number(g, max_subsets=args.max_subsets)
+        bad = []
+        tight = []
+        for k in range(z, g.n + 1):
+            pt, _ = pt_plus_k(g, k, max_subsets=args.max_subsets)
+            bound = (g.n - k + 1) // 2
+            if pt > bound:
+                bad.append(k)
+            elif pt == bound and pt > 0:
+                tight.append(k)
+        return {"g6": label, "n": g.n, "z+": z, "violations": bad, "tight": tight}
+
+    rows, skipped = _per_graph(args, row)
+    _emit(args, rows, ["g6", "n", "z+", "violations", "tight"],
+          lambda r: dict(r, violations=",".join(map(str, r["violations"])) or "-",
+                         tight=",".join(map(str, r["tight"])) or "-"))
+    violations = sum(len(r["violations"]) for r in rows)
     _note(f"verify-bounds: {len(rows)} graph(s), {violations} violation(s), "
           f"{skipped} skipped")
     return 0 if violations == 0 and skipped == 0 else 1

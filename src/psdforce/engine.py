@@ -257,6 +257,18 @@ def forceable(g: Graph, blue: int | Iterable[int]) -> list[tuple[int, int]]:
     return pairs
 
 
+def _least_id_forces(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The assigned forces of one round: the least-id forcer per target, in
+    target order, i.e. the first pair of each target in :func:`forceable`'s list."""
+    out = []
+    last = -1
+    for pair in pairs:
+        if pair[1] != last:
+            out.append(pair)
+            last = pair[1]
+    return out
+
+
 def _forces(adj: tuple[int, ...], blue: int, full: int, u: int, w: int) -> bool:
     """Whether u -> w is a valid force for the blue mask ``blue``.
 
@@ -296,16 +308,13 @@ def propagate(g: Graph, initial: int | Iterable[int]) -> PropagationSchedule:
     step = 0
     while blue != full:
         step += 1
-        pairs = forceable(g, blue)
+        pairs = _least_id_forces(forceable(g, blue))
         if not pairs:
             break
         forced = 0
         for u, w in pairs:
-            wbit = 1 << w
-            if not forced & wbit:
-                # least-id forcer wins: pairs are sorted by (target, forcer)
-                events.append(ForceEvent(u, w, step))
-                forced |= wbit
+            events.append(ForceEvent(u, w, step))
+            forced |= 1 << w
         rounds.append(forced)
         blue |= forced
     return PropagationSchedule(

@@ -134,7 +134,8 @@ def ng_z_sum(g: Graph) -> int:
 def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
     """The records of a complete order-n checkpoint, or None to recompute.
 
-    None also when a record does not parse or has an order other than n.
+    None also when a record does not parse, has a field of the wrong type
+    or has an order other than n.
     """
     if not os.path.exists(path):
         return None
@@ -147,7 +148,10 @@ def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
         records = [ExtremalRecord.from_json(ln) for ln in lines[:-1]]
     except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
         return None
-    return records if all(rec.n == n for rec in records) else None
+    # exact types: bool is an int subclass, and 3.0 == 3
+    sound = all(type(r.g6) is str and type(r.n) is type(r.z_plus) is type(r.pt_plus) is int
+                and r.n == n for r in records)
+    return records if sound else None
 
 
 def _write_checkpoint(path: str, records: list[ExtremalRecord]) -> None:

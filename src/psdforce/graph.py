@@ -41,7 +41,7 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Adjacency is one bitmask per vertex: bit v of ``adj[u]`` is set iff uv is
-    an edge.  Loops and multi-edges are rejected at construction.
+    an edge.  A loop is rejected at construction; a repeated edge is kept once.
     ``full_mask`` is the mask of all n vertices.  Equal graphs hash alike,
     so the engine's memos, keyed by value, serve every equal object; the
     hash is computed once, at construction, since every memo lookup asks.

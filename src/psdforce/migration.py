@@ -52,6 +52,7 @@ from .engine import (
     NotForcingError,
     _SET_TIME_MEMO_SIZE,
     _forces,
+    _least_id_forces,
     _set_time,
     component_pt,
     forceable,
@@ -120,13 +121,7 @@ def _swap_into(
     target, in target order; the first ``take`` of them (all by default)
     swap each forcer for its target.
     """
-    pairs = []
-    seen = 0
-    for u, w in forceable(g, blue):  # sorted by (target, forcer)
-        wbit = 1 << w
-        if wbit & comp and not seen & wbit:
-            pairs.append((u, w))
-            seen |= wbit
+    pairs = [(u, w) for u, w in _least_id_forces(forceable(g, blue)) if comp >> w & 1]
     if not pairs:
         raise ConsistencyError("forcing set with no first-step force into a component")
     take = len(pairs) if take is None else take

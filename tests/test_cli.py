@@ -483,6 +483,70 @@ def test_verify_bounds_skip_fails(capsys):
     assert "1 skipped" in err
 
 
+def _over_budget(label, k, need):
+    return (f"warning: {label}: skipped: sizes up to {k} need {need} subsets, "
+            "over the budget 6; raise max_subsets to override\n")
+
+
+# path 6, triangle, path 4, cycle 5 and path 2 at a budget of 6 subsets: each
+# command keeps some graphs and skips others, in input order
+PARTLY_SKIPPED = "EhCG\nBw\nCh\nDhc\nA_\n"
+PARTLY_SKIPPED_RUNS = {
+    "compute": (
+        "g6    n  z+  pt+  witness\n"
+        "EhCG  6  1   3    {2}\n"
+        "Bw    3  2   1    {0,1}\n"
+        "Ch    4  1   2    {1}\n"
+        "A_    2  1   1    {0}\n",
+        '{"g6":"EhCG","n":6,"z+":1,"pt+":3,"witness":[2]}\n'
+        '{"g6":"Bw","n":3,"z+":2,"pt+":1,"witness":[0,1]}\n'
+        '{"g6":"Ch","n":4,"z+":1,"pt+":2,"witness":[1]}\n'
+        '{"g6":"A_","n":2,"z+":1,"pt+":1,"witness":[0]}\n',
+        _over_budget("Dhc", 2, 10) + "compute: 4 graph(s), 1 skipped\n",
+    ),
+    "compute --throttle": (
+        "g6  n  z+  pt+  witness  th+\n"
+        "Bw  3  2   1    {0,1}    3\n"
+        "A_  2  1   1    {0}      2\n",
+        '{"g6":"Bw","n":3,"z+":2,"pt+":1,"witness":[0,1],"th+":3}\n'
+        '{"g6":"A_","n":2,"z+":1,"pt+":1,"witness":[0],"th+":2}\n',
+        _over_budget("EhCG", 2, 21) + _over_budget("Ch", 2, 10)
+        + _over_budget("Dhc", 2, 10) + "compute: 2 graph(s), 3 skipped\n",
+    ),
+    "verify-bounds": (
+        "g6  n  z+  violations  tight\n"
+        "Bw  3  2   -           2\n"
+        "Ch  4  1   -           1,2,3\n"
+        "A_  2  1   -           1\n",
+        '{"g6":"Bw","n":3,"z+":2,"violations":[],"tight":[2]}\n'
+        '{"g6":"Ch","n":4,"z+":1,"violations":[],"tight":[1,2,3]}\n'
+        '{"g6":"A_","n":2,"z+":1,"violations":[],"tight":[1]}\n',
+        _over_budget("EhCG", 2, 15) + _over_budget("Dhc", 2, 10)
+        + "verify-bounds: 3 graph(s), 0 violation(s), 2 skipped\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARTLY_SKIPPED_RUNS))
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_partly_skipped_corpus(capsys, tmp_path, command, json_flag):
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text(PARTLY_SKIPPED, encoding="ascii")
+    text, jsonl, err = PARTLY_SKIPPED_RUNS[command]
+    argv = [*command.split(), "--file", str(corpus), "--max-subsets", "6", *json_flag]
+    assert run(capsys, *argv) == (1, jsonl if json_flag else text, err)
+
+
+@pytest.mark.parametrize("command", [["compute"], ["family"], ["simulate", "--blue", "b1,b2,b3"]],
+                         ids=["compute", "family", "simulate"])
+@pytest.mark.parametrize("name", ["figure3", "figure4"])
+def test_fixture_flag_is_the_family_flag(capsys, command, name):
+    # --fixture NAME and --family NAME build the same graph with the same names
+    via_fixture = run(capsys, *command, "--fixture", name)
+    assert via_fixture[0] == 0 and via_fixture[1]
+    assert run(capsys, *command, "--family", name) == via_fixture
+
+
 def test_blue_parse_errors(capsys):
     code, _, err = run(capsys, "simulate", "--family", "path:4", "--blue", "9")
     assert code == 1 and "out of range" in err
@@ -514,6 +578,8 @@ USER_ERRORS = [
      "[Errno 17] File exists: '{tmp}/two.g6'"),
     (["extremal", "--k", "1", "--checkpoint", "{tmp}/two.g6/sub"],
      "[Errno 20] Not a directory: '{tmp}/two.g6/sub'"),
+    (["extremal", "--k", "5"], "catalog supports 1 <= k <= 4, got 5"),
+    (["ng", "--n", "9"], "enumeration supports 1 <= n <= 8, got 9"),
 ]
 
 
@@ -521,7 +587,7 @@ USER_ERRORS = [
     "argv,message", USER_ERRORS,
     ids=["unopenable-file", "unknown-family", "two-graphs", "zeta-k-above-n",
          "family-arity", "past-graph6-order", "checkpoint-is-a-file",
-         "checkpoint-under-a-file"],
+         "checkpoint-under-a-file", "catalog-k-above-4", "ng-n-above-8"],
 )
 def test_input_errors_end_in_one_line(capsys, tmp_path, argv, message):
     (tmp_path / "two.g6").write_text("DhC\nCh\n", encoding="ascii")

@@ -325,6 +325,29 @@ def test_checkpoint_ignores_a_garbled_record(tmp_path):
     assert invariant_table(3) == clean
 
 
+@pytest.mark.parametrize("old,new", [
+    ('"z+":1', '"z+":"1"'),
+    ('"pt+":1', '"pt+":true'),
+    ('"n":3', '"n":3.0'),
+    ('"g6":"BW"', '"g6":7'),
+], ids=["str-z", "bool-pt", "float-n", "int-g6"])
+def test_checkpoint_ignores_a_field_of_the_wrong_type(tmp_path, old, new):
+    # a record that parses but holds a wrongly typed field recomputes the
+    # order and rewrites its file
+    ck = str(tmp_path)
+    clean = invariant_table(3, checkpoint_dir=ck)
+    path = os.path.join(ck, "invariants.n3.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        right = fh.read()
+    line = '{"g6":"BW","n":3,"z+":1,"pt+":1}'
+    assert line in right
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(right.replace(line, line.replace(old, new)))
+    assert invariant_table(3, checkpoint_dir=ck) == clean
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == right
+
+
 def test_checkpoint_ignores_records_of_another_order(tmp_path):
     # an order-2 file copied over the order-3 one has a valid trailer but
     # the wrong records; the order is recomputed and rewritten
