@@ -13,13 +13,14 @@ Enumeration grows each class of order n-1 by one new vertex and keeps the
 canonical labels of the children.  Two steps cut the children labelled, after
 B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998:
 
-* Orbits.  A parent P is grown only by the least neighbourhood mask of each
-  orbit of masks under a group of automorphisms of P: the twin swaps and
-  the maps between tied leaves of P's canonical search.  Masks in one orbit
-  give children that are isomorphic by a map fixing the new vertex, so the
-  test below answers the same for all of them and they share one label.
-  Orbits of a subgroup refine the Aut(P) orbits, so each Aut(P) orbit still
-  keeps its least mask and no class is lost.
+* Orbits.  A parent P is grown by a neighbourhood mask only if the mask is
+  the least of its orbit under a group of automorphisms of P: the twin
+  swaps and the maps between tied leaves of P's canonical search.  Orbits
+  are tested per candidate mask, one whose degree the key below allows.
+  Masks in one orbit give children that are isomorphic by a map fixing the
+  new vertex, so the tests answer the same for all of them and they share
+  one label.  Orbits of a subgroup refine the Aut(P) orbits, so each Aut(P)
+  orbit still keeps its least mask and no class is lost.
 * Canonical deletion.  A child is kept only if its new vertex minimises the
   vertex invariant (degree, sorted neighbour degrees), compared as a tuple.
   This loses no class, because every graph has a vertex of minimal key,
@@ -172,23 +173,32 @@ def canonical_label(g: Graph) -> str:
 
 def _new_vertex_has_min_key(rows: list[int]) -> bool:
     """Whether no vertex has a smaller (degree, sorted neighbour degrees) key
-    than the last one."""
+    than the last one; the caller guarantees that none has a smaller degree."""
     deg = [row.bit_count() for row in rows]
     last = len(rows) - 1
     d = deg[last]
-    if min(deg) < d:
-        return False
     key = _sorted_nbr_values(rows[last], deg)
     return all(
         _sorted_nbr_values(rows[v], deg) >= key for v in range(last) if deg[v] == d
     )
 
 
+def _image(mask: int, gen: list[int]) -> int:
+    """The vertex set mask mapped through the permutation gen."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << gen[low.bit_length() - 1]
+    return out
+
+
 def _automorphism_generators(g: Graph) -> list[list[int]]:
     """Permutations (vertex -> vertex) that generate a subgroup of Aut(g):
     tau sigma^-1 for every leaf tau of g's canonical search that ties its
     first leaf sigma, and the swap of each vertex with its least twin (the
-    search explores twins once, so it finds no leaf for that swap)."""
+    search explores twins once, so it finds no leaf for that swap); each is
+    checked to be an automorphism."""
     adj = g.adj
     leaves = _canonical_search(g)[0]
     gens = [[t for _, t in sorted(zip(leaves[0], tau))] for tau in leaves[1:]]
@@ -197,35 +207,24 @@ def _automorphism_generators(g: Graph) -> list[list[int]]:
             if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
                 gens.append([v if w == u else u if w == v else w for w in range(g.n)])
                 break
+    for gen in gens:
+        if any(_image(adj[v], gen) != adj[gen[v]] for v in range(g.n)):
+            raise ConsistencyError(f"generator {gen} is not an automorphism")
     return gens
 
 
-def _orbit_least_masks(g: Graph) -> list[int]:
-    """The least vertex set of each orbit of vertex sets of g under the group
-    that ``_automorphism_generators`` generates, in increasing order."""
-    size = 1 << g.n
-    images = []  # per generator: vertex set -> its image
-    for gen in _automorphism_generators(g):
-        img = [0] * size
-        for x in range(1, size):
-            low = x & -x
-            img[x] = img[x ^ low] | 1 << gen[low.bit_length() - 1]
-        if not all(img[g.adj[v]] == g.adj[gen[v]] for v in range(g.n)):
-            raise ConsistencyError(f"generator {gen} is not an automorphism")
-        images.append(img)
-    seen = bytearray(size)
-    least = []
-    for mask in range(size):
-        if not seen[mask]:
-            least.append(mask)
-            seen[mask] = 1
-            orbit = [mask]
-            for x in orbit:  # grows while it is walked
-                for img in images:
-                    if not seen[img[x]]:
-                        seen[img[x]] = 1
-                        orbit.append(img[x])
-    return least
+def _least_of_orbit(mask: int, gens: list[list[int]]) -> bool:
+    """Whether mask is the least vertex set of its orbit under the group the
+    permutations gens generate; the walk stops at the first smaller image."""
+    orbit = [mask]
+    for x in orbit:  # grows while it is walked
+        for gen in gens:
+            y = _image(x, gen)
+            if y < mask:
+                return False
+            if y not in orbit:  # a list: the orbits of masks of parents this small are short
+                orbit.append(y)
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,8 +236,9 @@ def _iso_classes(n: int) -> tuple[str, ...]:
     # G has a vertex v of minimal key; G - v is isomorphic to a listed
     # parent P, and the child of P built from the image of N(v) is
     # isomorphic to G with the new vertex in v's place, so its key is
-    # minimal too.  The least mask of that image's orbit gives a child
-    # isomorphic to it by a map fixing the new vertex, which is kept.
+    # minimal too.  The least mask of that image's orbit passes the same
+    # degree pre-check, and its child, isomorphic by a map fixing the new
+    # vertex, is kept.
     if n == 1:
         return (write_graph6(Graph(1)),)
     new = n - 1
@@ -246,6 +246,7 @@ def _iso_classes(n: int) -> tuple[str, ...]:
     for lab in _iso_classes(n - 1):
         parent = parse_graph6(lab)
         adj = parent.adj
+        gens = _automorphism_generators(parent)
         # at_deg[k]: parent vertices of degree k.  A new vertex of degree d
         # is not beaten on degree alone iff no parent vertex has degree
         # below d - 1 and every parent vertex of degree d - 1 is adjacent
@@ -254,9 +255,9 @@ def _iso_classes(n: int) -> tuple[str, ...]:
         for v, row in enumerate(adj):
             at_deg[row.bit_count()] |= 1 << v
         max_d = min(row.bit_count() for row in adj) + 1
-        for nbhd in _orbit_least_masks(parent):
+        for nbhd in range(1 << new):
             d = nbhd.bit_count()
-            if d > max_d or (d and at_deg[d - 1] & ~nbhd):
+            if d > max_d or (d and at_deg[d - 1] & ~nbhd) or not _least_of_orbit(nbhd, gens):
                 continue
             rows = [row | (nbhd >> v & 1) << new for v, row in enumerate(adj)]
             rows.append(nbhd)

@@ -10,8 +10,10 @@ resume from it.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import takewhile
@@ -131,20 +133,35 @@ def ng_z_sum(g: Graph) -> int:
 # exhaustive searches
 
 
+def _trailer(n: int, lines: list[str]) -> dict:
+    """The last line of an order-n checkpoint of these record lines: their
+    count and the SHA-256 of the order and the lines, each ended by a newline."""
+    # lazy, and the lean builtin module, as random does: hashlib loads OpenSSL (3.5 MB RSS)
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python >= 3.12
+        except ImportError:
+            from hashlib import sha256
+    text = "".join(line + "\n" for line in [str(n), *lines])
+    return {"done": len(lines), "sha256": sha256(text.encode()).hexdigest()}
+
+
 def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
     """The records of a complete order-n checkpoint, or None to recompute.
 
-    None also when a record does not parse, has a field of the wrong type
-    or has an order other than n.
+    None also when the trailer's count or digest does not match the order
+    and the record lines, or when a record does not parse, has a field of
+    the wrong type or has an order other than n.
     """
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     try:
-        tail = json.loads(lines[-1]) if lines else None
-        if not isinstance(tail, dict) or tail.get("done") != len(lines) - 1:
-            return None  # incomplete run
+        if not lines or json.loads(lines[-1]) != _trailer(n, lines[:-1]):
+            return None  # incomplete, edited, another order's, or without a digest
         records = [ExtremalRecord.from_json(ln) for ln in lines[:-1]]
     except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
         return None
@@ -154,12 +171,12 @@ def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
     return records if sound else None
 
 
-def _write_checkpoint(path: str, records: list[ExtremalRecord]) -> None:
+def _write_checkpoint(path: str, n: int, records: list[ExtremalRecord]) -> None:
+    lines = [rec.to_json() for rec in records]
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
-        fh.write(json.dumps({"done": len(records)}) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+        fh.write(json.dumps(_trailer(n, lines)) + "\n")
     os.replace(tmp, path)
 
 
@@ -168,36 +185,28 @@ def _records_for_orders(
 ) -> list[ExtremalRecord]:
     """The invariant table's records of each order in ``orders``, order by order.
 
-    An order with a complete checkpoint is read from it; any other order is
-    computed, then checkpointed.  With ``jobs`` > 1 one ``Pool`` is opened
-    on the first order computed and serves every later one, so a run that
-    resumes every order opens none.
+    An order with a complete checkpoint is read from it; every other order
+    is computed, then checkpointed.  With ``jobs`` > 1 one ``Pool`` serves
+    every order computed, so a run that resumes every order opens none.
     """
+    paths = dict.fromkeys(orders)  # order -> its checkpoint file, if any
     if checkpoint_dir is not None:  # an unusable directory fails before any work
         os.makedirs(checkpoint_dir, exist_ok=True)
-    out: list[ExtremalRecord] = []
+        paths = {n: os.path.join(checkpoint_dir, f"invariants.n{n}.jsonl") for n in paths}
+    tables = {n: _load_checkpoint(path, n) if path else None for n, path in paths.items()}
+    missing = [n for n, records in tables.items() if records is None]
     with ExitStack() as stack:
-        pool = None
-        for n in orders:
-            path = None
-            if checkpoint_dir is not None:
-                path = os.path.join(checkpoint_dir, f"invariants.n{n}.jsonl")
-                cached = _load_checkpoint(path, n)
-                if cached is not None:
-                    out.extend(cached)
-                    continue
-            if jobs > 1:
-                if pool is None:
-                    import multiprocessing  # loaded only by a search that fans out
-                    pool = stack.enter_context(multiprocessing.Pool(jobs))
-                # imap, not map: map would list every Graph before sending any
-                records = list(pool.imap(graph_record, enumerate_graphs(n), chunksize=64))
-            else:
-                records = [graph_record(g) for g in enumerate_graphs(n)]
-            if path is not None:
-                _write_checkpoint(path, records)
-            out.extend(records)
-    return out
+        records_of = map
+        if jobs > 1 and missing:
+            import multiprocessing  # loaded only by a search that fans out
+            pool = stack.enter_context(multiprocessing.Pool(jobs))
+            # imap, not map: map would list every Graph before sending any
+            records_of = functools.partial(pool.imap, chunksize=64)
+        for n in missing:
+            tables[n] = list(records_of(graph_record, enumerate_graphs(n)))
+            if paths[n] is not None:
+                _write_checkpoint(paths[n], n, tables[n])
+    return [rec for records in tables.values() for rec in records]
 
 
 def invariant_table(
@@ -246,18 +255,11 @@ def zeta(
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    best = -1
-    witnesses: list[str] = []
-    for rec in _records_for_orders((n,), jobs, checkpoint_dir):
-        if rec.z_plus != k:
-            continue
-        if rec.pt_plus > best:
-            best = rec.pt_plus
-            witnesses = [rec.g6]
-        elif rec.pt_plus == best:
-            witnesses.append(rec.g6)
-    if best < 0:
+    at_k = [rec for rec in _records_for_orders((n,), jobs, checkpoint_dir) if rec.z_plus == k]
+    if not at_k:
         raise ValueError(f"no graph of order {n} has forcing number {k}")
+    best = max(rec.pt_plus for rec in at_k)
+    witnesses = [rec.g6 for rec in at_k if rec.pt_plus == best]
     if best > (n - k + 1) // 2:
         raise ConsistencyError(f"zeta({n}, {k}) = {best}, above the bound ceil((n-k)/2)")
     return best, witnesses
@@ -294,18 +296,14 @@ def ng_search(n: int, *, jobs: int = 1, checkpoint_dir: str | None = None) -> NG
         if lab not in sums:
             co = canon.canonical_label(complement(parse_graph6(lab)))
             sums[lab] = sums[co] = pt[lab] + pt[co]
-    hist: dict[int, int] = {}
-    attaining = []
+    hist = Counter(sums.values())
     threshold = n // 2 + 2
-    for lab, pt_sum in sums.items():
-        hist[pt_sum] = hist.get(pt_sum, 0) + 1
-        if pt_sum == threshold:
-            attaining.append(lab)
+    attaining = sorted(lab for lab, pt_sum in sums.items() if pt_sum == threshold)
     return NGSearchResult(
         n=n,
         histogram=dict(sorted(hist.items())),
         max_sum=max(hist),
         threshold=threshold,
         attained=bool(attaining),
-        attaining=tuple(sorted(attaining)),
+        attaining=tuple(attaining),
     )

@@ -166,6 +166,28 @@ def test_criterion_06_halving_bound_sweep():
         assert checked == 5836
 
 
+def test_criterion_06_halving_bound_and_throttling_order8():
+    # every order-8 class: the main bound for each k >= Z+, and the th+
+    # census against th+ <= ceil((n + Z+)/2)
+    with _Budget(60):
+        checked = tight = attaining = 0
+        throttling = Counter()
+        for g in enumerate_graphs(8):
+            z, _ = psd_zero_forcing_number(g)
+            for k in range(z, 9):
+                pt, _ = pt_plus_k(g, k)
+                bound = (8 - k + 1) // 2
+                assert pt <= bound, (canonical_label(g), k)
+                checked += 1
+                tight += 0 < pt == bound
+            th, _, _ = throttling_number(g)
+            throttling[th] += 1
+            attaining += th == (8 + z + 1) // 2
+        assert (checked, tight) == (67212, 27492)
+        assert throttling == {2: 1, 3: 62, 4: 1801, 5: 7346, 6: 2951, 7: 177, 8: 8}
+        assert attaining == 2245
+
+
 def test_criterion_07_lollipop_tightness():
     with _Budget(30):
         for m in range(3, 7):

@@ -1,5 +1,6 @@
 """Canonical labeling and isomorph-free enumeration."""
 
+import hashlib
 import itertools
 import random
 
@@ -93,6 +94,27 @@ def test_pruned_enumeration_matches_brute_force():
     ]
 
 
+# sha256 of the newline-joined label list of each order
+LABEL_DIGESTS = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    4: "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+    5: "ba6b2702ab1d647a7964e0bb2815cb74b90f811b2cbc759e36bc8ad37c4c4bfb",
+    6: "a3c0be81f949312e42271323fbf63d26ea9c17eb62bc28b00a1df42c41213ab8",
+    7: "cf43d74eea2e83dd129ee163ab4ba9c0f95efd52978be61a3b45e8d9557307a0",
+    8: "3e503c8c6bec0555cca2382d86a1bb2ede4f18a9e854b4caed44bad3415cacb5",
+}
+
+
+def test_label_lists_are_pinned():
+    got = {
+        n: hashlib.sha256("\n".join(canon._iso_classes(n)).encode()).hexdigest()
+        for n in LABEL_DIGESTS
+    }
+    assert got == LABEL_DIGESTS
+
+
 def test_enumeration_labels_few_children(monkeypatch):
     calls = 0
     label = canon.canonical_label
@@ -147,8 +169,9 @@ ORBIT_COUNTS = [
 
 @pytest.mark.parametrize("g,kept", [c[1:] for c in ORBIT_COUNTS], ids=[c[0] for c in ORBIT_COUNTS])
 def test_one_neighbourhood_per_orbit(g, kept):
-    least = canon._orbit_least_masks(g)
-    assert least == sorted(set(least)) and least[0] == 0
+    gens = canon._automorphism_generators(g)
+    least = [mask for mask in range(1 << g.n) if canon._least_of_orbit(mask, gens)]
+    assert least[0] == 0
     assert len(least) == kept
 
 
@@ -167,10 +190,11 @@ def test_generators_are_automorphisms(classes_by_order):
 
 
 def test_orbit_masks_check_each_generator(monkeypatch):
-    # swapping the end 0 with the middle 1 of the path 0-1-2 is no automorphism
-    monkeypatch.setattr(canon, "_automorphism_generators", lambda g: [[1, 0, 2]])
+    # swapping the end 0 with the middle 1 of the path 0-1-2 is no automorphism;
+    # a second search leaf [1, 0, 2] tying the first makes it a generator
+    monkeypatch.setattr(canon, "_canonical_search", lambda g: ([[0, 1, 2], [1, 0, 2]], []))
     with pytest.raises(ConsistencyError) as exc:
-        canon._orbit_least_masks(path(3))
+        canon._automorphism_generators(path(3))
     assert str(exc.value) == "generator [1, 0, 2] is not an automorphism"
 
 

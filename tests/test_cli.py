@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,21 @@ def test_surveys_resume_from_the_catalog_checkpoint(capsys, monkeypatch, tmp_pat
     assert calls == []
 
 
+def test_checkpointed_zeta_ignores_an_edited_value(capsys, tmp_path):
+    # a well-typed but wrong value no longer matches the file's digest, so
+    # the order is computed again instead of trusted
+    d = str(tmp_path)
+    assert run(capsys, "ng", "--n", "3", "--checkpoint", d)[0] == 0
+    path = Path(d, "invariants.n3.jsonl")
+    text = path.read_text(encoding="utf-8")
+    line = '{"g6":"BW","n":3,"z+":1,"pt+":1}'
+    assert line in text
+    path.write_text(text.replace(line, line.replace('"z+":1', '"z+":2')), encoding="utf-8")
+    code, out, _ = run(capsys, "extremal", "--zeta", "3", "1", "--checkpoint", d, "--json")
+    assert (code, out) == (0, '{"n":3,"k":1,"zeta":1,"witnesses":["BW"]}\n')
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_jobs_rejected_below_one_and_clamped(capsys, monkeypatch):
     # parsing fails or clamps before any worker pool could start
     for cmd in (["extremal", "--k", "1"], ["ng", "--n", "3"]):
@@ -622,3 +638,33 @@ def test_stdout_byte_determinism(capsys):
     third = run(capsys, "ng", "--n", "5", "--json")
     fourth = run(capsys, "ng", "--n", "5", "--json")
     assert third[1] == fourth[1]
+
+
+def _readme_examples():
+    # (argv, stdout) of each "$ psdforce ..." line in README's sh blocks: the
+    # lines after it, up to a blank line or the end of the block
+    examples, in_sh, out = [], False, None
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh, out = line == "```sh", None
+        elif in_sh and line.startswith("$ psdforce "):
+            out = []
+            examples.append((shlex.split(line)[2:], out))
+        elif out is not None and line:
+            out.append(line + "\n")
+        else:
+            out = None
+    return [(argv, "".join(lines)) for argv, lines in examples]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv,expected", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_examples_are_exact(capsys, argv, expected):
+    assert len(README_EXAMPLES) == 7
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected)

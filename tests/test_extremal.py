@@ -1,9 +1,12 @@
 """Throttling, complement sums, catalogs, and checkpointed searches."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -279,14 +282,24 @@ def test_ng_search_order5_threshold_open():
     assert sum(res.histogram.values()) == 34
 
 
+def _trailer(n, text):
+    # the trailer a complete order-n checkpoint with this text ends in: the
+    # record count and the SHA-256 of the order and the record lines
+    records = text.splitlines()[:-1]
+    body = "".join(line + "\n" for line in [str(n), *records])
+    return {"done": len(records), "sha256": hashlib.sha256(body.encode()).hexdigest()}
+
+
 def test_checkpoint_round_trip(tmp_path):
     ck = str(tmp_path)
     first = invariant_table(3, checkpoint_dir=ck)
     files = sorted(os.listdir(ck))
     assert files == ["invariants.n1.jsonl", "invariants.n2.jsonl", "invariants.n3.jsonl"]
     with open(os.path.join(ck, "invariants.n3.jsonl"), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert json.loads(lines[-1]) == {"done": 4}
+        text = fh.read()
+    trailer = json.loads(text.splitlines()[-1])
+    assert trailer["done"] == 4
+    assert trailer == _trailer(3, text)
     second = invariant_table(3, checkpoint_dir=ck)
     assert second == first
 
@@ -300,7 +313,43 @@ def test_checkpoint_ignores_incomplete(tmp_path):
     again = invariant_table(2, checkpoint_dir=ck)
     assert again == clean
     with open(bad, encoding="utf-8") as fh:
-        assert json.loads(fh.read().splitlines()[-1]) == {"done": 2}
+        text = fh.read()
+    trailer = json.loads(text.splitlines()[-1])
+    assert trailer["done"] == 2
+    assert trailer == _trailer(2, text)
+
+
+def test_checkpoint_digest_does_not_load_hashlib(tmp_path):
+    # hashlib loads OpenSSL, about 3.5 MB of peak RSS; the digest comes from
+    # the interpreter's lean builtin SHA-256 module instead
+    code = (
+        "import sys; from psdforce.extremal import invariant_table; "
+        f"invariant_table(3, checkpoint_dir={str(tmp_path)!r}); "
+        "print('hashlib' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+    assert len(os.listdir(tmp_path)) == 3
+
+
+def test_checkpoint_without_a_digest_is_recomputed(tmp_path):
+    # a file with the older {"done": N} trailer is recomputed once and
+    # rewritten with its digest
+    ck = str(tmp_path)
+    clean = invariant_table(3, checkpoint_dir=ck)
+    path = os.path.join(ck, "invariants.n3.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        right = fh.read()
+    records = right.splitlines()[:-1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in records) + '{"done": 4}\n')
+    assert invariant_table(3, checkpoint_dir=ck) == clean
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == right
 
 
 def test_checkpoint_ignores_garbage(tmp_path):
@@ -330,10 +379,12 @@ def test_checkpoint_ignores_a_garbled_record(tmp_path):
     ('"pt+":1', '"pt+":true'),
     ('"n":3', '"n":3.0'),
     ('"g6":"BW"', '"g6":7'),
-], ids=["str-z", "bool-pt", "float-n", "int-g6"])
+    ('"z+":1', '"z+":2'),
+], ids=["str-z", "bool-pt", "float-n", "int-g6", "wrong-z"])
 def test_checkpoint_ignores_a_field_of_the_wrong_type(tmp_path, old, new):
-    # a record that parses but holds a wrongly typed field recomputes the
-    # order and rewrites its file
+    # a record that parses but holds a wrongly typed field, or a well-typed
+    # wrong value that no longer matches the digest, recomputes the order
+    # and rewrites its file
     ck = str(tmp_path)
     clean = invariant_table(3, checkpoint_dir=ck)
     path = os.path.join(ck, "invariants.n3.jsonl")
@@ -387,6 +438,46 @@ def test_records_come_straight_from_the_enumerated_graphs(monkeypatch):
     assert parses == []
     for n in range(1, 7):
         assert tuple(r.g6 for r in table if r.n == n) == canon._iso_classes(n)
+
+
+def test_partly_checkpointed_survey(tmp_path, monkeypatch):
+    # orders whose files are gone are recomputed, by one Pool, and only
+    # their files are rewritten
+    ck = str(tmp_path)
+    cold = invariant_table(6, jobs=2, checkpoint_dir=ck)
+    path = {n: os.path.join(ck, f"invariants.n{n}.jsonl") for n in range(1, 7)}
+    before = {}
+    for n, p in path.items():
+        with open(p, encoding="utf-8") as fh:
+            before[n] = fh.read()
+    os.remove(path[3])
+    os.remove(path[5])
+    starts, enumerated, written = [], [], []
+    real_pool, real_enum, real_write = (
+        multiprocessing.Pool, extremal.enumerate_graphs, extremal._write_checkpoint)
+
+    def counting(*args, **kwargs):
+        starts.append(args)
+        return real_pool(*args, **kwargs)
+
+    def enumerating(n):
+        enumerated.append(n)
+        return real_enum(n)
+
+    def writing(p, *args):
+        written.append(p)
+        return real_write(p, *args)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    monkeypatch.setattr(extremal, "enumerate_graphs", enumerating)
+    monkeypatch.setattr(extremal, "_write_checkpoint", writing)
+    assert invariant_table(6, jobs=2, checkpoint_dir=ck) == cold
+    assert len(starts) == 1
+    assert enumerated == [3, 5]
+    assert written == [path[3], path[5]]
+    for n, p in path.items():
+        with open(p, encoding="utf-8") as fh:
+            assert fh.read() == before[n]
 
 
 def test_pool_matches_serial():
