@@ -266,12 +266,17 @@ def _iso_classes(n: int) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
+def _enumerable(n: int) -> int:
+    """n, if enumerate_graphs lists order n; else ValueError."""
+    if not 1 <= n <= ENUM_MAX_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got {n}")
+    return n
+
+
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of order n.
 
     Representatives are canonical forms, streamed in sorted label order.
     """
-    if not 1 <= n <= ENUM_MAX_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got {n}")
-    for lab in _iso_classes(n):
+    for lab in _iso_classes(_enumerable(n)):
         yield parse_graph6(lab)

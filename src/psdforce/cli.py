@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 from .engine import (
     DEFAULT_MAX_SUBSETS,
@@ -170,19 +171,22 @@ def _parse_blue(spec: str, g: Graph, names: dict[str, int]) -> int:
     return mask
 
 
-def _print_table(rows: list[dict], columns: list[str]) -> None:
-    if not rows:
+def _table_lines(rows: Iterable[dict], columns: list[str]) -> Iterator[str]:
+    """The lines of a table of the rows (dicts), one column per name; none
+    for no rows."""
+    rendered = [[str(row.get(c, "")) for c in columns] for row in rows]
+    if not rendered:
         return
-    widths = {c: len(c) for c in columns}
-    rendered = []
-    for row in rows:
-        r = {c: str(row.get(c, "")) for c in columns}
-        rendered.append(r)
-        for c in columns:
-            widths[c] = max(widths[c], len(r[c]))
-    print("  ".join(c.ljust(widths[c]) for c in columns).rstrip())
-    for r in rendered:
-        print("  ".join(r[c].ljust(widths[c]) for c in columns).rstrip())
+    widths = [max(map(len, cells)) for cells in zip(columns, *rendered)]
+    for r in [columns, *rendered]:
+        yield "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+
+
+def _print(args, json_lines: Iterable[str], text_lines: Iterable[str]) -> None:
+    """Print the JSON lines with --json, else the text lines; only the chosen
+    source is iterated, so a lazy other one is never rendered."""
+    for line in json_lines if args.json else text_lines:
+        print(line)
 
 
 def _per_graph(args, row) -> tuple[list[dict], int]:
@@ -203,11 +207,7 @@ def _per_graph(args, row) -> tuple[list[dict], int]:
 
 def _emit(args, rows: list[dict], columns: list[str], cells=None) -> None:
     """JSON lines with --json, else a table of ``cells(row)`` (default: the row)."""
-    if args.json:
-        for row in rows:
-            print(_jline(row))
-    else:
-        _print_table([cells(r) for r in rows] if cells else rows, columns)
+    _print(args, map(_jline, rows), _table_lines(map(cells, rows) if cells else rows, columns))
 
 
 def _survey(args, search, *params):
@@ -245,26 +245,20 @@ def cmd_simulate(args) -> int:
     label, g, names = _load_single(args)
     blue = _parse_blue(args.blue, g, names)
     sched = propagate(g, blue)
-    if args.json:
-        print(_jline({"g6": label, "n": g.n, "initial": vlist(blue)}))
-        for i, forced in enumerate(sched.rounds, start=1):
-            forces = [[e.forcer, e.target] for e in sched.assignments if e.step == i]
-            print(_jline({"step": i, "forces": forces, "new_blue": vlist(forced)}))
-        verdict: dict = {"forcing": sched.succeeded}
-        verdict["pt"] = sched.steps if sched.succeeded else None
-        verdict["residual"] = vlist(sched.residual_white)
-        print(_jline(verdict))
-    else:
-        print(f"graph {label} (n={g.n})  initial {_vset_str(blue)}")
-        for i, forced in enumerate(sched.rounds, start=1):
-            moves = " ".join(
-                f"{e.forcer}->{e.target}" for e in sched.assignments if e.step == i
-            )
-            print(f"step {i}: {moves}  new blue {_vset_str(forced)}")
-        if sched.succeeded:
-            print(f"forcing: yes  pt={sched.steps}")
-        else:
-            print(f"forcing: no  residual {_vset_str(sched.residual_white)}")
+    json_lines = [_jline({"g6": label, "n": g.n, "initial": vlist(blue)})]
+    text_lines = [f"graph {label} (n={g.n})  initial {_vset_str(blue)}"]
+    for i, forced in enumerate(sched.rounds, start=1):
+        forces = [e for e in sched.assignments if e.step == i]
+        json_lines.append(_jline({"step": i, "forces": [[e.forcer, e.target] for e in forces],
+                                  "new_blue": vlist(forced)}))
+        moves = " ".join(f"{e.forcer}->{e.target}" for e in forces)
+        text_lines.append(f"step {i}: {moves}  new blue {_vset_str(forced)}")
+    json_lines.append(_jline({"forcing": sched.succeeded,
+                              "pt": sched.steps if sched.succeeded else None,
+                              "residual": vlist(sched.residual_white)}))
+    text_lines.append(f"forcing: yes  pt={sched.steps}" if sched.succeeded
+                      else f"forcing: no  residual {_vset_str(sched.residual_white)}")
+    _print(args, json_lines, text_lines)
     return 0
 
 
@@ -292,40 +286,31 @@ def cmd_migrate(args, algorithm: int) -> int:
         value = times[-1] - times[-2] if per_comp else 0
         ok = value <= 1 and times[-1] <= bound
     summary = {"final": vlist(final), "pt": times[-1], "bound": bound, key: value, "ok": ok}
-    if args.json:
-        for line in trace.to_json_lines():
-            print(line)
-        print(_jline(summary))
-    else:
-        print(f"graph {label} (n={g.n})  blue {_vset_str(blue)}  bound {bound}")
-        for i, step in enumerate(trace.steps, start=1):
-            moves = " ".join(f"{e.forcer}->{e.target}@{e.step}" for e in step.forces)
-            print(
-                f"pass {i}: out {_vset_str(step.moved_out)} "
-                f"in {_vset_str(step.moved_in)} -> {_vset_str(step.after)}"
-                + (f"  forces {moves}" if moves else "")
-            )
-        if not trace.steps:
-            print("no migration needed")
-        print(f"final {_vset_str(final)}  pt={times[-1]}  {name}={value}  "
-              f"postcondition {'ok' if ok else 'VIOLATED'}")
+    text_lines = [f"graph {label} (n={g.n})  blue {_vset_str(blue)}  bound {bound}"]
+    for i, step in enumerate(trace.steps, start=1):
+        moves = " ".join(f"{e.forcer}->{e.target}@{e.step}" for e in step.forces)
+        text_lines.append(
+            f"pass {i}: out {_vset_str(step.moved_out)} "
+            f"in {_vset_str(step.moved_in)} -> {_vset_str(step.after)}"
+            + (f"  forces {moves}" if moves else "")
+        )
+    if not trace.steps:
+        text_lines.append("no migration needed")
+    text_lines.append(f"final {_vset_str(final)}  pt={times[-1]}  {name}={value}  "
+                      f"postcondition {'ok' if ok else 'VIOLATED'}")
+    _print(args, [*trace.to_json_lines(), _jline(summary)], text_lines)
     return 0 if ok else 1
 
 
 def cmd_family(args) -> int:
     label, g, names = _load_single(args)
-    if args.json:
-        print(_jline({"g6": label, "n": g.n, "names": dict(sorted(names.items()))}))
-    else:
-        print(label)
-        for name, v in sorted(names.items()):
-            print(f"{name} = {v}")
+    names = dict(sorted(names.items()))
+    _print(args, [_jline({"g6": label, "n": g.n, "names": names})],
+           [label, *(f"{name} = {v}" for name, v in names.items())])
     return 0
 
 
 def cmd_extremal(args) -> int:
-    if (args.k is None) == (args.zeta is None):
-        raise CliError("choose exactly one of --k or --zeta")
     t0 = time.monotonic()
     if args.k is not None:
         records = _survey(args, classify_extremal, args.k)
@@ -336,12 +321,8 @@ def cmd_extremal(args) -> int:
         return 0
     n, k = args.zeta
     value, witnesses = _survey(args, zeta, n, k)
-    if args.json:
-        print(_jline({"n": n, "k": k, "zeta": value, "witnesses": witnesses}))
-    else:
-        print(f"zeta({n},{k}) = {value}")
-        for w in witnesses:
-            print(w)
+    _print(args, [_jline({"n": n, "k": k, "zeta": value, "witnesses": witnesses})],
+           [f"zeta({n},{k}) = {value}", *witnesses])
     _note(f"zeta({n},{k}) in {time.monotonic() - t0:.2f}s")
     return 0
 
@@ -349,22 +330,21 @@ def cmd_extremal(args) -> int:
 def cmd_ng(args) -> int:
     t0 = time.monotonic()
     res = _survey(args, ng_search, args.n)
-    if args.json:
-        print(_jline({
-            "n": res.n,
-            "histogram": {str(s): c for s, c in res.histogram.items()},
-            "max_sum": res.max_sum,
-            "threshold": res.threshold,
-            "attained": res.attained,
-            "attaining": list(res.attaining),
-        }))
-    else:
-        print(f"order {res.n}: pt+ sum histogram")
-        for s, c in res.histogram.items():
-            print(f"sum {s}: {c}")
-        verdict = "attained" if res.attained else "not attained"
-        print(f"threshold {res.threshold} {verdict}"
-              + (f" by {' '.join(res.attaining)}" if res.attaining else ""))
+    doc = {
+        "n": res.n,
+        "histogram": {str(s): c for s, c in res.histogram.items()},
+        "max_sum": res.max_sum,
+        "threshold": res.threshold,
+        "attained": res.attained,
+        "attaining": list(res.attaining),
+    }
+    verdict = "attained" if res.attained else "not attained"
+    _print(args, [_jline(doc)], [
+        f"order {res.n}: pt+ sum histogram",
+        *(f"sum {s}: {c}" for s, c in res.histogram.items()),
+        f"threshold {res.threshold} {verdict}"
+        + (f" by {' '.join(res.attaining)}" if res.attaining else ""),
+    ])
     _note(f"ng n={args.n} in {time.monotonic() - t0:.2f}s")
     return 0
 
@@ -429,10 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_family)
 
     p = sub.add_parser("extremal", help="slow-propagation catalogs and zeta")
-    p.add_argument("--k", type=int, default=None,
-                   help="catalog of graphs with pt+ = n - k (1..4)")
-    p.add_argument("--zeta", type=int, nargs=2, default=None,
-                   metavar=("N", "K"), help="max pt+ over order-N graphs with Z+ = K")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=int,
+                      help="catalog of graphs with pt+ = n - k (1..4)")
+    mode.add_argument("--zeta", type=int, nargs=2, metavar=("N", "K"),
+                      help="max pt+ over order-N graphs with Z+ = K")
     _add_survey(p)
     p.set_defaults(fn=cmd_extremal)
 

@@ -187,9 +187,10 @@ def _records_for_orders(
 
     An order with a complete checkpoint is read from it; every other order
     is computed, then checkpointed.  With ``jobs`` > 1 one ``Pool`` serves
-    every order computed, so a run that resumes every order opens none.
+    every order computed, so a run that resumes every order opens none.  An
+    order enumeration does not list fails first, before any file or work.
     """
-    paths = dict.fromkeys(orders)  # order -> its checkpoint file, if any
+    paths = dict.fromkeys(map(canon._enumerable, orders))  # order -> its checkpoint, if any
     if checkpoint_dir is not None:  # an unusable directory fails before any work
         os.makedirs(checkpoint_dir, exist_ok=True)
         paths = {n: os.path.join(checkpoint_dir, f"invariants.n{n}.jsonl") for n in paths}

@@ -83,6 +83,21 @@ def ref_z_and_pt(adj, n):
     raise AssertionError("the full vertex set always forces")
 
 
+def ref_radius(adj, n):
+    """Least eccentricity of a connected graph, by breadth-first search."""
+
+    def ecc(v):
+        seen = frontier = {v}
+        t = 0
+        while len(seen) < n:
+            frontier = {w for u in frontier for w in adj[u]} - seen
+            seen = seen | frontier
+            t += 1
+        return t
+
+    return min(ecc(v) for v in range(n))
+
+
 def ref_isomorphic(n1, edges1, n2, edges2):
     """Brute-force isomorphism test with a degree-sequence quick reject."""
     if n1 != n2:

@@ -42,7 +42,7 @@ from psdforce.families import (
     migration_demo_single,
     path,
 )
-from psdforce.graph import Graph, parse_graph6
+from psdforce.graph import Graph, is_connected, parse_graph6
 from psdforce.migration import (
     balance_propagation,
     multi_vertex_migrate,
@@ -50,6 +50,8 @@ from psdforce.migration import (
     single_vertex_migrate,
     verify_force_switch,
 )
+
+from _oracles import ref_adj, ref_radius
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -167,11 +169,13 @@ def test_criterion_06_halving_bound_sweep():
 
 
 def test_criterion_06_halving_bound_and_throttling_order8():
-    # every order-8 class: the main bound for each k >= Z+, and the th+
-    # census against th+ <= ceil((n + Z+)/2)
+    # every order-8 class: the main bound for each k >= Z+, the th+ census
+    # against th+ <= ceil((n + Z+)/2), and the Z+ = 1 row: the trees, each
+    # with pt+ its radius
     with _Budget(60):
         checked = tight = attaining = 0
         throttling = Counter()
+        trees = Counter()  # pt+ of the classes with Z+ = 1
         for g in enumerate_graphs(8):
             z, _ = psd_zero_forcing_number(g)
             for k in range(z, 9):
@@ -180,12 +184,19 @@ def test_criterion_06_halving_bound_and_throttling_order8():
                 assert pt <= bound, (canonical_label(g), k)
                 checked += 1
                 tight += 0 < pt == bound
+                if k == z == 1:
+                    assert g.num_edges == 7 and is_connected(g), canonical_label(g)
+                    assert pt == ref_radius(ref_adj(8, g.edges()), 8)
+                    assert pt < bound or canonical_label(g) == canonical_label(path(8))
+                    trees[pt] += 1
             th, _, _ = throttling_number(g)
             throttling[th] += 1
             attaining += th == (8 + z + 1) // 2
         assert (checked, tight) == (67212, 27492)
         assert throttling == {2: 1, 3: 62, 4: 1801, 5: 7346, 6: 2951, 7: 177, 8: 8}
         assert attaining == 2245
+        # 23 trees; only the path reaches ceil(7/2) = 4
+        assert trees == {1: 1, 2: 11, 3: 10, 4: 1}
 
 
 def test_criterion_07_lollipop_tightness():

@@ -60,6 +60,27 @@ def test_compute_walks_the_scans_once_per_row(capsys, monkeypatch, tmp_path, fla
     assert [json.loads(ln)["z+"] for ln in out.splitlines()] == [1, 1, 2, 4]
 
 
+def test_json_formats_no_table_cell(capsys, monkeypatch):
+    # --json iterates only the JSON lines, so no table line or cell is built
+    def table_lines(rows, columns):
+        raise AssertionError("a table was rendered")
+        yield
+
+    def vset_str(mask):
+        raise AssertionError("a table cell was formatted")
+
+    monkeypatch.setattr(cli, "_table_lines", table_lines)
+    monkeypatch.setattr(cli, "_vset_str", vset_str)
+    assert run(capsys, "compute", "--family", "path:5", "--json")[:2] == (
+        0, '{"g6":"DhC","n":5,"z+":1,"pt+":2,"witness":[2]}\n')
+    assert run(capsys, "verify-bounds", "--family", "path:3", "--json")[:2] == (
+        0, '{"g6":"Bg","n":3,"z+":1,"violations":[],"tight":[1,2]}\n')
+    assert run(capsys, "extremal", "--k", "1", "--json")[:2] == (
+        0, '{"g6":"A_","n":2,"z+":1,"pt+":1}\n')
+    with pytest.raises(AssertionError, match="a table was rendered"):
+        main(["compute", "--family", "path:5"])
+
+
 def test_compute_throttle(capsys):
     code, out, _ = run(capsys, "compute", "--family", "path:4", "--throttle", "--json")
     assert code == 0
@@ -371,10 +392,15 @@ def test_extremal_zeta(capsys):
 
 
 def test_extremal_needs_one_mode(capsys):
+    # a rejected command line: argparse's mutually exclusive group, exit 2
     code, _, err = run(capsys, "extremal", "--k", "1", "--zeta", "3", "1")
-    assert code == 1 and "exactly one" in err
+    assert code == 2
+    assert err.endswith(
+        "psdforce extremal: error: argument --zeta: not allowed with argument --k\n")
     code, _, err = run(capsys, "extremal")
-    assert code == 1 and "exactly one" in err
+    assert code == 2
+    assert err.endswith("psdforce extremal: error: one of the arguments --k --zeta is required\n")
+    assert "(--k K | --zeta N K)" in err
 
 
 def test_ng_json(capsys):

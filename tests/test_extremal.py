@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from psdforce.extremal import (
 from psdforce.families import complete, empty_graph, path
 from psdforce.graph import Graph, complement, is_connected, parse_graph6, write_graph6
 
+from _oracles import ref_adj, ref_pt, ref_radius, ref_z_and_pt
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -166,23 +168,6 @@ def test_zeta_reports_a_forcing_number_no_graph_has(monkeypatch):
     assert str(exc.value) == "no graph of order 4 has forcing number 1"
 
 
-def _radius(g):
-    # least eccentricity of a connected graph, by breadth-first search
-    def ecc(v):
-        seen = frontier = 1 << v
-        t = 0
-        while seen != g.full_mask:
-            reach = 0
-            for u in vlist(frontier):
-                reach |= g.adj[u]
-            frontier = reach & ~seen
-            seen |= frontier
-            t += 1
-        return t
-
-    return min(ecc(v) for v in range(g.n))
-
-
 def test_trees_are_the_graphs_of_forcing_number_one():
     """Z+(G) = 1 exactly when G is a tree, and then pt+(G) is its radius.
 
@@ -208,11 +193,26 @@ def test_trees_are_the_graphs_of_forcing_number_one():
         tree = g.num_edges == g.n - 1 and is_connected(g)
         assert (rec.z_plus == 1) == tree, rec.g6
         if tree:
-            assert rec.pt_plus == _radius(g), rec.g6
+            assert rec.pt_plus == ref_radius(ref_adj(g.n, g.edges()), g.n), rec.g6
     with open(os.path.join(DATA, "tightness_census.jsonl"), encoding="utf-8") as fh:
         rows = [json.loads(line) for line in fh]
     tight = {row["n"]: row["tight"] for row in rows if row["z+"] == 1}
     assert tight == {n: 1 if n % 2 == 0 or n == 1 else (n - 1) // 2 for n in range(1, 9)}
+
+
+def test_invariant_table_matches_the_oracle_at_orders_7_and_8():
+    # every order-7 class and a seeded sample of the order-8 classes: the
+    # oracle's (Z+, pt+), and each pt+ witness takes pt+ rounds under it
+    order8 = random.Random(8).sample(canon._iso_classes(8), 1000)
+    records = extremal._records_for_orders((7,)) + [
+        graph_record(parse_graph6(lab)) for lab in order8]
+    assert len(records) == 1044 + 1000
+    for rec in records:
+        g = parse_graph6(rec.g6)
+        adj = ref_adj(g.n, g.edges())
+        assert (rec.z_plus, rec.pt_plus) == ref_z_and_pt(adj, g.n), rec.g6
+        z, pt, witness = _z_and_pt(g)
+        assert (witness.bit_count(), ref_pt(adj, g.n, vlist(witness))) == (z, pt), rec.g6
 
 
 def _brute_force_zeta(n, k):
@@ -334,6 +334,28 @@ def test_checkpoint_digest_does_not_load_hashlib(tmp_path):
     )
     assert out.stdout == "False\n"
     assert len(os.listdir(tmp_path)) == 3
+
+
+def test_an_order_past_the_enumeration_cap_fails_before_any_work(tmp_path, monkeypatch):
+    def no_records(g):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setattr(extremal, "graph_record", no_records)
+    past = canon.ENUM_MAX_N + 1
+    message = f"enumeration supports 1 <= n <= {canon.ENUM_MAX_N}, got {past}"
+    ck = tmp_path / "ck"
+    with pytest.raises(ValueError, match=message):
+        invariant_table(past, checkpoint_dir=str(ck))
+    assert not ck.exists()
+    # nor does a checkpoint of that order get around the cap
+    ck.mkdir()
+    record = ExtremalRecord(write_graph6(empty_graph(past)), past, past, 0)
+    extremal._write_checkpoint(str(ck / f"invariants.n{past}.jsonl"), past, [record])
+    with pytest.raises(ValueError, match=message):
+        zeta(past, past, checkpoint_dir=str(ck))
+    with pytest.raises(ValueError, match=message):
+        ng_search(past, checkpoint_dir=str(ck))
+    assert os.listdir(ck) == [f"invariants.n{past}.jsonl"]
 
 
 def test_checkpoint_without_a_digest_is_recomputed(tmp_path):
