@@ -16,7 +16,6 @@ catalog output is keyed by canonical labels.
 from .canon import (
     CANON_MAX_N,
     ENUM_MAX_N,
-    canonical_form,
     canonical_label,
     enumerate_graphs,
 )
@@ -41,14 +40,10 @@ from .engine import (
 from .extremal import (
     ExtremalRecord,
     NGSearchResult,
-    NGSums,
     classify_extremal,
     graph_record,
     invariant_table,
-    ng_pt_sum,
     ng_search,
-    ng_sums,
-    ng_z_sum,
     throttling_number,
     zeta,
 )
@@ -71,10 +66,7 @@ from .graph import (
     bridges,
     complement,
     components,
-    disjoint_union,
-    induced_subgraph,
     is_bridge,
-    is_connected,
     parse_graph6,
     read_graph6_lines,
     vlist,
@@ -109,13 +101,11 @@ __all__ = [
     "MigrationStep",
     "MigrationTrace",
     "NGSearchResult",
-    "NGSums",
     "NoForcingSetError",
     "NotForcingError",
     "PropagationSchedule",
     "balance_propagation",
     "bridges",
-    "canonical_form",
     "canonical_label",
     "classify_extremal",
     "complement",
@@ -123,27 +113,21 @@ __all__ = [
     "component_pt",
     "components",
     "cycle",
-    "disjoint_union",
     "empty_graph",
     "enumerate_graphs",
     "forceable",
     "forcing_forest",
     "graph_record",
     "h_family",
-    "induced_subgraph",
     "invariant_table",
     "is_bridge",
-    "is_connected",
     "is_psd_forcing_set",
     "lollipop",
     "make_family",
     "migration_demo_double",
     "migration_demo_single",
     "multi_vertex_migrate",
-    "ng_pt_sum",
     "ng_search",
-    "ng_sums",
-    "ng_z_sum",
     "parse_graph6",
     "path",
     "propagate",

@@ -103,11 +103,8 @@ def _canonical_search(g: Graph) -> tuple[list[list[int]], list[int]]:
     def rec(ci: int, rem: list[list[int]]) -> None:
         j = len(perm)
         tight = False
-        if leaves:
-            head = best_cols[:j]
-            if cols > head:
-                return
-            tight = cols == head
+        if leaves:  # each child carries its level's least column: cols <= best_cols[:j]
+            tight = cols == best_cols[:j]
         if j == n:
             if not tight:
                 best_cols[:] = cols

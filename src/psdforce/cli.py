@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
+from itertools import groupby
+from operator import attrgetter
 
 from .engine import (
     DEFAULT_MAX_SUBSETS,
@@ -30,7 +31,7 @@ from .engine import (
     pt_plus,
     pt_plus_k,
 )
-from .extremal import classify_extremal, ng_search, throttling_number, zeta
+from .extremal import _worker_count, classify_extremal, ng_search, throttling_number, zeta
 from .families import FIXTURES, make_family
 # components is unused, but perfbench/tracing.py MANIFEST lists cli as an importer
 from .graph import (
@@ -109,7 +110,7 @@ def _budget(text: str) -> int:
 
 def _job_count(text: str) -> int:
     """--jobs value: at least 1, at most the number of CPUs."""
-    return min(_int_at_least(text, 1), os.cpu_count() or 1)
+    return _worker_count(_int_at_least(text, 1))
 
 
 def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:
@@ -247,8 +248,9 @@ def cmd_simulate(args) -> int:
     sched = propagate(g, blue)
     json_lines = [_jline({"g6": label, "n": g.n, "initial": vlist(blue)})]
     text_lines = [f"graph {label} (n={g.n})  initial {_vset_str(blue)}"]
-    for i, forced in enumerate(sched.rounds, start=1):
-        forces = [e for e in sched.assignments if e.step == i]
+    steps = groupby(sched.assignments, key=attrgetter("step"))  # step order, one per round
+    for (i, events), forced in zip(steps, sched.rounds):
+        forces = list(events)
         json_lines.append(_jline({"step": i, "forces": [[e.forcer, e.target] for e in forces],
                                   "new_blue": vlist(forced)}))
         moves = " ".join(f"{e.forcer}->{e.target}" for e in forces)

@@ -180,15 +180,21 @@ def _write_checkpoint(path: str, n: int, records: list[ExtremalRecord]) -> None:
     os.replace(tmp, path)
 
 
+def _worker_count(jobs: int) -> int:
+    """``jobs`` clamped to the number of CPUs, so no caller forks more."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _records_for_orders(
     orders: Iterable[int], jobs: int = 1, checkpoint_dir: str | None = None
 ) -> list[ExtremalRecord]:
     """The invariant table's records of each order in ``orders``, order by order.
 
     An order with a complete checkpoint is read from it; every other order
-    is computed, then checkpointed.  With ``jobs`` > 1 one ``Pool`` serves
-    every order computed, so a run that resumes every order opens none.  An
-    order enumeration does not list fails first, before any file or work.
+    is computed, then checkpointed.  With ``jobs`` > 1 one ``Pool`` of at most
+    one worker per CPU serves every order computed, so a run that resumes
+    every order opens none.  An order enumeration does not list fails first,
+    before any file or work.
     """
     paths = dict.fromkeys(map(canon._enumerable, orders))  # order -> its checkpoint, if any
     if checkpoint_dir is not None:  # an unusable directory fails before any work
@@ -198,6 +204,7 @@ def _records_for_orders(
     missing = [n for n, records in tables.items() if records is None]
     with ExitStack() as stack:
         records_of = map
+        jobs = _worker_count(jobs)
         if jobs > 1 and missing:
             import multiprocessing  # loaded only by a search that fans out
             pool = stack.enter_context(multiprocessing.Pool(jobs))

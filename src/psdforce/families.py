@@ -8,7 +8,7 @@ accepts in --blue arguments.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, complement
 
 NameMap = dict[str, int]
 
@@ -29,7 +29,7 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return complement(Graph(n))  # n rows, not n(n-1)/2 edge tuples
 
 
 def empty_graph(n: int) -> Graph:
@@ -48,9 +48,10 @@ def lollipop(m: int, r: int) -> tuple[Graph, NameMap]:
         raise ValueError("lollipop needs clique size m >= 3")
     if r < 1:
         raise ValueError("lollipop needs path length r >= 1")
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    edges += [(m - 1 + i, m + i) for i in range(r)]
-    return Graph(m + r, edges), {"v": m - 1, "w": m + r - 1}
+    rows = list(Graph(m + r, [(m - 1 + i, m + i) for i in range(r)]).adj)
+    for v, row in enumerate(complete(m).adj):
+        rows[v] |= row
+    return Graph._from_rows(rows), {"v": m - 1, "w": m + r - 1}
 
 
 # Core of the balanced two-tail family: a self-complementary graph on eight

@@ -10,13 +10,13 @@ from psdforce import (
     ConsistencyError,
     Graph,
     canon,
-    canonical_form,
     canonical_label,
     components,
     enumerate_graphs,
     parse_graph6,
     write_graph6,
 )
+from psdforce.canon import canonical_form
 from psdforce.families import complete, cycle, path
 
 from _oracles import ref_isomorphic

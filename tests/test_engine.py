@@ -1,6 +1,7 @@
 """Propagation engine: the color change rule, Z+, and the time invariants."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -167,7 +168,7 @@ def test_complete_values():
 
 
 def test_tree_forcing_number_is_one(classes_by_order):
-    from psdforce import is_connected
+    from psdforce.graph import is_connected
 
     for n, labels in classes_by_order.items():
         for lab in labels:
@@ -349,6 +350,30 @@ def test_engine_matches_reference_orders_7_to_9(g):
                 pt_plus_k(g, k)
         else:
             assert pt_plus_k(g, k) == best, k
+
+
+def test_engine_matches_reference_above_the_fort_table_orders():
+    # orders 17-18 take the scan without the forcing table (engine._FORT_MAX_N);
+    # sparse graphs keep Z+ <= 4, so the oracle's scans stay near a second
+    assert engine._FORT_MAX_N < 17
+    rng = random.Random(20261020)
+    for n in (17, 17, 17, 18, 18):
+        # a random forest (about one root in eight) plus up to three chords
+        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.875}
+        for _ in range(rng.randint(0, 3)):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph(n, edges)
+        adj = _adj(g)
+        z, pt = ref_z_and_pt(adj, n)
+        assert z <= 4
+        got_z, z_witness = psd_zero_forcing_number(g)
+        got_pt, pt_witness = pt_plus(g)
+        assert (got_z, got_pt) == (z, pt)
+        assert len(vlist(z_witness)) == z == len(vlist(pt_witness))
+        assert ref_pt(adj, n, vlist(z_witness)) is not None
+        assert ref_pt(adj, n, vlist(pt_witness)) == pt
+        assert pt_plus_k(g, z) == _ref_best(g, z) == (pt, pt_witness)
+        assert pt_plus_k(g, z + 1) == _ref_best(g, z + 1)
 
 
 # ---------------------------------------------------------------------------

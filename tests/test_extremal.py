@@ -526,3 +526,30 @@ def test_one_pool_per_search(tmp_path, monkeypatch):
     assert len(starts) == 1
     ng_search(6, jobs=2)
     assert len(starts) == 2
+
+
+def test_library_jobs_are_clamped_to_the_cpu_count(monkeypatch):
+    # a stand-in Pool records its size and starts no process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert invariant_table(5, jobs=10**6) == invariant_table(5)
+    assert ng_search(5, jobs=64) == ng_search(5)
+    assert sizes == [3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no Pool
+    assert invariant_table(5, jobs=8) == invariant_table(5)
+    assert sizes == [3, 3]

@@ -11,14 +11,13 @@ from psdforce import (
     GRAPH6_MAX_N,
     Graph,
     Graph6Error,
-    canonical_form,
     canonical_label,
     enumerate_graphs,
     parse_graph6,
     read_graph6_lines,
     write_graph6,
 )
-from psdforce.canon import CANON_MAX_N
+from psdforce.canon import CANON_MAX_N, canonical_form
 from psdforce.families import complete, empty_graph, path
 from psdforce.graph import _g6_header
 

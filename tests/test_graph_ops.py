@@ -7,16 +7,13 @@ from psdforce import (
     bridges,
     complement,
     components,
-    disjoint_union,
-    induced_subgraph,
     is_bridge,
-    is_connected,
     parse_graph6,
     vlist,
     vset,
 )
 from psdforce.families import complete, cycle, empty_graph, lollipop, path
-from psdforce.graph import as_mask
+from psdforce.graph import as_mask, disjoint_union, induced_subgraph, is_connected
 from psdforce.migration import single_vertex_migrate, verify_force_switch
 
 from _oracles import ref_components

@@ -3,6 +3,7 @@ what the sources may contain."""
 
 import ast
 import dataclasses
+import importlib
 import os
 import pickle
 import subprocess
@@ -109,3 +110,32 @@ def test_sources_hold_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_namespace_exports_exactly_its_public_names():
+    assert sorted(psdforce.__all__) == [
+        "CANON_MAX_N", "CapExceededError", "ConsistencyError", "DEFAULT_MAX_SUBSETS",
+        "ENUM_MAX_N", "ExtremalRecord", "FIXTURES", "ForceEvent", "ForcingForest",
+        "GRAPH6_MAX_N", "Graph", "Graph6Error", "MigrationStep", "MigrationTrace",
+        "NGSearchResult", "NoForcingSetError", "NotForcingError", "PropagationSchedule",
+        "balance_propagation", "bridges", "canonical_label", "classify_extremal",
+        "complement", "complete", "component_pt", "components", "cycle", "empty_graph",
+        "enumerate_graphs", "forceable", "forcing_forest", "graph_record", "h_family",
+        "invariant_table", "is_bridge", "is_psd_forcing_set", "lollipop", "make_family",
+        "migration_demo_double", "migration_demo_single", "multi_vertex_migrate",
+        "ng_search", "parse_graph6", "path", "propagate", "psd_zero_forcing_number",
+        "pt_plus", "pt_plus_k", "read_graph6_lines", "shrink_max_component",
+        "single_vertex_migrate", "throttling_number", "verify_force_switch", "vlist",
+        "vset", "write_graph6", "zeta",
+    ]
+    assert all(hasattr(psdforce, name) for name in psdforce.__all__)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("extremal", "ng_pt_sum"), ("extremal", "ng_z_sum"), ("extremal", "ng_sums"),
+    ("extremal", "NGSums"), ("canon", "canonical_form"), ("graph", "is_connected"),
+    ("graph", "induced_subgraph"), ("graph", "disjoint_union"),
+])
+def test_module_level_names_are_not_reexported(module, name):
+    assert not hasattr(psdforce, name)
+    assert callable(getattr(importlib.import_module(f"psdforce.{module}"), name))
