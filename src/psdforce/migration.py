@@ -21,7 +21,9 @@ sweep of moves over one graph propagates each blue set once, and each force
 switch is verified once per (graph, context set, unordered edge): the four
 readings for w -> v are those for v -> w with (a) and (d) swapped, so one
 memoised verdict loses no check (a disagreement raises and is not kept).
-The checks are:
+Equal steps, equal loop results and equal first-step forces are each one
+shared frozen object, built by bounded value-keyed memos; every check still
+runs on every call.  The checks are:
 
 * the input forces (:class:`NotForcingError` otherwise), and every migrated
   set still forces;
@@ -129,22 +131,29 @@ def _swap_into(
         raise ValueError(
             f"take must be in 1..{len(pairs)} (first-step forces into the component)"
         )
-    out = blue
-    forces = []
-    for u, w in pairs[:take]:
-        out = (out & ~(1 << u)) | 1 << w
-        forces.append(_first_force(u, w))
-    if out.bit_count() != blue.bit_count():
+    step = _step(blue, tuple(pairs[:take]))
+    if step.after.bit_count() != blue.bit_count():
         raise ConsistencyError("migration changed the blue-set size")
-    pt = _checked_time(g, out)
-    step = MigrationStep(
-        before=blue,
-        moved_out=blue & ~out,
-        moved_in=out & ~blue,
-        after=out,
-        forces=tuple(forces),
-    )
-    return step, pt
+    return step, _checked_time(g, step.after)
+
+
+@functools.lru_cache(maxsize=_SET_TIME_MEMO_SIZE)
+def _step(before: int, moves: tuple[tuple[int, int], ...]) -> MigrationStep:
+    """The step that swaps each (forcer, target) of ``moves`` out of
+    ``before``, in order; one shared frozen object per value."""
+    out = before
+    for u, w in moves:
+        out = (out & ~(1 << u)) | 1 << w
+    forces = tuple(_first_force(u, w) for u, w in moves)
+    return MigrationStep(before, before & ~out, out & ~before, out, forces)
+
+
+@functools.lru_cache(maxsize=_SET_TIME_MEMO_SIZE)
+def _result(
+    final: int, steps: tuple[MigrationStep, ...]
+) -> tuple[int, MigrationTrace]:
+    """A loop's ``(final, trace)``, one shared object per value."""
+    return final, MigrationTrace(steps, final)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,7 @@ def shrink_max_component(
                 f"largest component did not shrink: {size} -> {new_max}"
             )
         steps.append(step)
-    return cur, MigrationTrace(tuple(steps), cur)
+    return _result(cur, tuple(steps))
 
 
 def balance_propagation(
@@ -315,4 +324,4 @@ def balance_propagation(
         raise ConsistencyError(
             f"balanced set has time {pt}, above the halving bound {bound}"
         )
-    return cur, MigrationTrace(tuple(steps), cur)
+    return _result(cur, tuple(steps))

@@ -464,7 +464,8 @@ def test_records_come_straight_from_the_enumerated_graphs(monkeypatch):
 
 def test_partly_checkpointed_survey(tmp_path, monkeypatch):
     # orders whose files are gone are recomputed, by one Pool, and only
-    # their files are rewritten
+    # their files are rewritten; two CPUs, so jobs=2 is not clamped to one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ck = str(tmp_path)
     cold = invariant_table(6, jobs=2, checkpoint_dir=ck)
     path = {n: os.path.join(ck, f"invariants.n{n}.jsonl") for n in range(1, 7)}
@@ -510,7 +511,8 @@ def test_pool_matches_serial():
 
 def test_one_pool_per_search(tmp_path, monkeypatch):
     # a search opens one Pool for all its orders, and none when every order
-    # is read back from its checkpoint
+    # is read back from its checkpoint; two CPUs, so jobs=2 is not clamped
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     starts = []
     real = multiprocessing.Pool
 

@@ -26,6 +26,7 @@ from psdforce import migration
 from psdforce.engine import ForceEvent
 from psdforce.graph import Graph, bridges
 from psdforce.migration import (
+    MigrationTrace,
     balance_propagation,
     multi_vertex_migrate,
     shrink_max_component,
@@ -330,7 +331,8 @@ def test_balance_postcondition_sweep(classes_by_order):
 
 def test_first_step_events_are_shared(classes_by_order, monkeypatch):
     # the loops' traces equal, and serialize as, traces built with a fresh
-    # ForceEvent per force; equal first-step forces are one object
+    # ForceEvent per force; equal first-step forces, equal steps and equal
+    # loop results are one object each
     def traces(g):
         return [
             loop(g, b)
@@ -340,20 +342,54 @@ def test_first_step_events_are_shared(classes_by_order, monkeypatch):
 
     graphs = [parse_graph6(lab) for n in range(1, 7) for lab in classes_by_order[n]]
     shared = [traces(g) for g in graphs]
+    # the shared steps and results hold the shared events: drop them, so the
+    # reference run builds its steps from fresh events
+    migration._step.cache_clear()
+    migration._result.cache_clear()
     monkeypatch.setattr(migration, "_first_force", lambda u, w: ForceEvent(u, w, 1))
     fresh = [traces(g) for g in graphs]
-    by_pair = {}
-    events = 0
+    by_pair, by_step, by_result = {}, {}, {}
+    events = steps = 0
     for per_shared, per_fresh in zip(shared, fresh):
         assert per_shared == per_fresh
-        for (_, got), (_, ref) in zip(per_shared, per_fresh):
+        for res, (final, ref) in zip(per_shared, per_fresh):
+            assert res == (final, MigrationTrace(ref.steps, final))
+            assert by_result.setdefault(res, res) is res
+            got = res[1]
             assert list(got.to_json_lines()) == list(ref.to_json_lines())
             for st, st_ref in zip(got.steps, ref.steps):
+                assert by_step.setdefault(st, st) is st
+                steps += 1
                 for f, f_ref in zip(st.forces, st_ref.forces):
                     assert f is not f_ref and f.step == 1
                     assert by_pair.setdefault((f.forcer, f.target), f) is f
                     events += 1
     assert events > len(by_pair) == 30  # every ordered pair of 0..5
+    assert steps > len(by_step)
+    assert sum(map(len, shared)) > len(by_result)
+
+
+def test_every_migration_memo_is_bounded(classes_by_order):
+    memos = {
+        name: obj.cache_info
+        for name, obj in vars(migration).items()
+        if callable(getattr(obj, "cache_info", None))
+    }
+    assert {"_first_force", "_switch_verdict", "_step", "_result"} <= set(memos)
+    for lab in classes_by_order[6]:
+        g = parse_graph6(lab)
+        for b in forcing_masks(g):
+            for v, w in forceable(g, b):
+                single_vertex_migrate(g, b, v, w)
+                verify_force_switch(g, b & ~(1 << v), v, w)
+            shrink_max_component(g, b)
+            balance_propagation(g, b)
+    for name, info in memos.items():
+        got = info()
+        assert got.maxsize is not None, name
+        assert got.currsize <= got.maxsize, name
+    # the sweep asked the verdict memo for more keys than it keeps
+    assert memos["_switch_verdict"]().misses > memos["_switch_verdict"]().maxsize
 
 
 # ---------------------------------------------------------------------------
