@@ -13,134 +13,20 @@ searches are complete subset scans under an explicit budget, and all
 catalog output is keyed by canonical labels.
 """
 
-from .canon import (
-    CANON_MAX_N,
-    ENUM_MAX_N,
-    canonical_label,
-    enumerate_graphs,
-)
-from .engine import (
-    DEFAULT_MAX_SUBSETS,
-    CapExceededError,
-    ConsistencyError,
-    ForceEvent,
-    ForcingForest,
-    NoForcingSetError,
-    NotForcingError,
-    PropagationSchedule,
-    component_pt,
-    forceable,
-    forcing_forest,
-    is_psd_forcing_set,
-    propagate,
-    psd_zero_forcing_number,
-    pt_plus,
-    pt_plus_k,
-)
-from .extremal import (
-    ExtremalRecord,
-    NGSearchResult,
-    classify_extremal,
-    graph_record,
-    invariant_table,
-    ng_search,
-    throttling_number,
-    zeta,
-)
-from .families import (
-    FIXTURES,
-    complete,
-    cycle,
-    empty_graph,
-    h_family,
-    lollipop,
-    make_family,
-    migration_demo_double,
-    migration_demo_single,
-    path,
-)
-from .graph import (
-    GRAPH6_MAX_N,
-    Graph,
-    Graph6Error,
-    bridges,
-    complement,
-    components,
-    is_bridge,
-    parse_graph6,
-    read_graph6_lines,
-    vlist,
-    vset,
-    write_graph6,
-)
-from .migration import (
-    MigrationStep,
-    MigrationTrace,
-    balance_propagation,
-    multi_vertex_migrate,
-    shrink_max_component,
-    single_vertex_migrate,
-    verify_force_switch,
-)
+from . import canon, engine, extremal, families, graph, migration
+from .canon import *
+from .engine import *
+from .extremal import *
+from .families import *
+from .graph import *
+from .migration import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CANON_MAX_N",
-    "DEFAULT_MAX_SUBSETS",
-    "ENUM_MAX_N",
-    "GRAPH6_MAX_N",
-    "CapExceededError",
-    "ConsistencyError",
-    "ExtremalRecord",
-    "FIXTURES",
-    "ForceEvent",
-    "ForcingForest",
-    "Graph",
-    "Graph6Error",
-    "MigrationStep",
-    "MigrationTrace",
-    "NGSearchResult",
-    "NoForcingSetError",
-    "NotForcingError",
-    "PropagationSchedule",
-    "balance_propagation",
-    "bridges",
-    "canonical_label",
-    "classify_extremal",
-    "complement",
-    "complete",
-    "component_pt",
-    "components",
-    "cycle",
-    "empty_graph",
-    "enumerate_graphs",
-    "forceable",
-    "forcing_forest",
-    "graph_record",
-    "h_family",
-    "invariant_table",
-    "is_bridge",
-    "is_psd_forcing_set",
-    "lollipop",
-    "make_family",
-    "migration_demo_double",
-    "migration_demo_single",
-    "multi_vertex_migrate",
-    "ng_search",
-    "parse_graph6",
-    "path",
-    "propagate",
-    "psd_zero_forcing_number",
-    "pt_plus",
-    "pt_plus_k",
-    "read_graph6_lines",
-    "shrink_max_component",
-    "single_vertex_migrate",
-    "throttling_number",
-    "verify_force_switch",
-    "vlist",
-    "vset",
-    "write_graph6",
-    "zeta",
-]
+__all__ = []
+__all__ += canon.__all__
+__all__ += engine.__all__
+__all__ += extremal.__all__
+__all__ += families.__all__
+__all__ += graph.__all__
+__all__ += migration.__all__

@@ -40,6 +40,13 @@ from typing import Iterator
 from .graph import Graph, _g6_body, _g6_header, components, parse_graph6, write_graph6
 from .engine import ConsistencyError
 
+__all__ = [
+    "CANON_MAX_N",
+    "ENUM_MAX_N",
+    "canonical_label",
+    "enumerate_graphs",
+]
+
 CANON_MAX_N = 10
 ENUM_MAX_N = 8
 

@@ -99,6 +99,25 @@ from typing import Iterable, Iterator
 # engine as one of its importers and fails on a missing binding.
 from .graph import Graph, as_mask, components, induced_subgraph, vlist
 
+__all__ = [
+    "DEFAULT_MAX_SUBSETS",
+    "CapExceededError",
+    "ConsistencyError",
+    "ForceEvent",
+    "ForcingForest",
+    "NoForcingSetError",
+    "NotForcingError",
+    "PropagationSchedule",
+    "component_pt",
+    "forceable",
+    "forcing_forest",
+    "is_psd_forcing_set",
+    "propagate",
+    "psd_zero_forcing_number",
+    "pt_plus",
+    "pt_plus_k",
+]
+
 DEFAULT_MAX_SUBSETS = 10**6  # sets one exact search call may propagate
 _SCAN_MEMO_SIZE = 256  # (graph, k) scans, graph floors and one-round tables kept
 _SET_TIME_MEMO_SIZE = 1 << 12  # blue-mask times kept: all masks of an order-12 graph

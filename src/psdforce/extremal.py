@@ -24,6 +24,17 @@ from .canon import enumerate_graphs
 from .engine import ConsistencyError, _budgeted_scans, _z_and_pt
 from .graph import Graph, complement, parse_graph6, write_graph6
 
+__all__ = [
+    "ExtremalRecord",
+    "NGSearchResult",
+    "classify_extremal",
+    "graph_record",
+    "invariant_table",
+    "ng_search",
+    "throttling_number",
+    "zeta",
+]
+
 
 @dataclass(frozen=True, slots=True)
 class ExtremalRecord:
@@ -157,13 +168,13 @@ def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
     """
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         if not lines or json.loads(lines[-1]) != _trailer(n, lines[:-1]):
             return None  # incomplete, edited, another order's, or without a digest
         records = [ExtremalRecord.from_json(ln) for ln in lines[:-1]]
-    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError):  # also JSON and UTF-8 decode errors
         return None
     # exact types: bool is an int subclass, and 3.0 == 3
     sound = all(type(r.g6) is str and type(r.n) is type(r.z_plus) is type(r.pt_plus) is int

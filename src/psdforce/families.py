@@ -10,6 +10,19 @@ from __future__ import annotations
 
 from .graph import Graph, complement
 
+__all__ = [
+    "FIXTURES",
+    "complete",
+    "cycle",
+    "empty_graph",
+    "h_family",
+    "lollipop",
+    "make_family",
+    "migration_demo_double",
+    "migration_demo_single",
+    "path",
+]
+
 NameMap = dict[str, int]
 
 

@@ -12,6 +12,21 @@ import binascii
 import re
 from typing import Iterable, Iterator
 
+__all__ = [
+    "GRAPH6_MAX_N",
+    "Graph",
+    "Graph6Error",
+    "bridges",
+    "complement",
+    "components",
+    "is_bridge",
+    "parse_graph6",
+    "read_graph6_lines",
+    "vlist",
+    "vset",
+    "write_graph6",
+]
+
 # Largest order of the 4-byte graph6 header: '~' and three sextets whose first
 # is at most 62, since '~~' opens the 8-byte form, which is deliberately not
 # supported.

@@ -343,7 +343,7 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
     fresh = []
     for argv in REPEATED_COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "psdforce.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, encoding="utf-8", env=env, timeout=60)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert [r[0] for r in fresh] == [0, 0, 1, 0, 0, 2, 0, 1]
 

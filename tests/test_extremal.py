@@ -330,7 +330,7 @@ def test_checkpoint_digest_does_not_load_hashlib(tmp_path):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", check=True
     )
     assert out.stdout == "False\n"
     assert len(os.listdir(tmp_path)) == 3
@@ -419,6 +419,25 @@ def test_checkpoint_ignores_a_field_of_the_wrong_type(tmp_path, old, new):
     assert invariant_table(3, checkpoint_dir=ck) == clean
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == right
+
+
+def test_checkpoint_recomputes_an_edited_byte_that_is_not_utf8(tmp_path):
+    # a byte that does not decode recomputes and rewrites the order, as an
+    # ASCII edit does; a checkpoint path that cannot be read still raises
+    ck = str(tmp_path)
+    invariant_table(3, checkpoint_dir=ck)
+    path = os.path.join(ck, "invariants.n3.jsonl")
+    with open(path, "rb") as fh:
+        right = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(right[:3] + b"\xff" + right[4:])
+    assert zeta(3, 1, checkpoint_dir=ck) == (1, ["BW"])
+    with open(path, "rb") as fh:
+        assert fh.read() == right
+    os.remove(path)
+    os.mkdir(path)
+    with pytest.raises(OSError):
+        zeta(3, 1, checkpoint_dir=ck)
 
 
 def test_checkpoint_ignores_records_of_another_order(tmp_path):

@@ -64,6 +64,16 @@ def test_force_switch_rejects():
         verify_force_switch(g, [], 0, 2)
 
 
+def test_force_switch_rejects_after_the_verdict_memo_is_warm():
+    # the checks run inside the memoised verdict, which keeps no call that
+    # raised, so a warm memo returns no verdict for an invalid input
+    g = path(4)
+    assert verify_force_switch(g, [], 1, 2)[0]
+    for s, v, w in [([], 1, 1), ([1], 1, 2), ([2], 2, 1), ([], 0, 2), ([], 7, 1)]:
+        with pytest.raises(ValueError):
+            verify_force_switch(g, s, v, w)
+
+
 def test_force_switch_agreement_sweep(classes_by_order):
     # the function cross-checks four independent computations and raises
     # ConsistencyError on any disagreement, so calling it is the assertion

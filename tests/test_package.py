@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -93,7 +94,7 @@ def test_import_does_not_load_multiprocessing():
     code = "import sys, psdforce, psdforce.cli; print('multiprocessing' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", check=True
     )
     assert out.stdout == "False\n"
 
@@ -139,3 +140,33 @@ def test_namespace_exports_exactly_its_public_names():
 def test_module_level_names_are_not_reexported(module, name):
     assert not hasattr(psdforce, name)
     assert callable(getattr(importlib.import_module(f"psdforce.{module}"), name))
+
+
+def test_module_export_lists_partition_the_namespace():
+    # each public name is declared in the __all__ of the module defining it,
+    # and the package exports those lists and nothing else
+    modules = [
+        importlib.import_module(f"psdforce.{name}")
+        for name in ["canon", "engine", "extremal", "families", "graph", "migration"]
+    ]
+    for mod in modules:
+        for name in mod.__all__:
+            obj = vars(mod)[name]
+            if callable(obj):
+                assert obj.__module__ == mod.__name__, name
+    exported = [name for mod in modules for name in mod.__all__]
+    assert len(exported) == len(set(exported)) == 57
+    assert set(exported) == set(psdforce.__all__)
+    public = {
+        name for name, obj in vars(psdforce).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert public == set(psdforce.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    library = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    assert capsys.readouterr().out == "1 2 [2] 2 True\n"
