@@ -5,7 +5,7 @@ Every exhaustive search reads one invariant table: one :class:`ExtremalRecord`
 canonical label), computed once per order.  ``invariant_table``,
 ``classify_extremal``, ``zeta`` and ``ng_search`` all read it, so with a
 checkpoint directory they share one ``invariants.nN.jsonl`` file per order and
-resume from it.
+resume from it; ``ng_search`` adds its complement pairs, ``complements.nN.jsonl``.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
-from itertools import takewhile
-from typing import Iterable
+from itertools import count, takewhile
+from typing import Callable, Iterable
 
 from . import canon
 from .canon import enumerate_graphs
@@ -34,6 +35,8 @@ __all__ = [
     "throttling_number",
     "zeta",
 ]
+
+_writes = count()  # numbers this process's checkpoint writes
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,8 +148,8 @@ def ng_z_sum(g: Graph) -> int:
 
 
 def _trailer(n: int, lines: list[str]) -> dict:
-    """The last line of an order-n checkpoint of these record lines: their
-    count and the SHA-256 of the order and the lines, each ended by a newline."""
+    """The last line of an order-n checkpoint of these lines: their count and
+    the SHA-256 of the order and the lines, each ended by a newline."""
     # lazy, and the lean builtin module, as random does: hashlib loads OpenSSL (3.5 MB RSS)
     try:
         from _sha256 import sha256  # Python <= 3.11
@@ -159,23 +162,39 @@ def _trailer(n: int, lines: list[str]) -> dict:
     return {"done": len(lines), "sha256": sha256(text.encode()).hexdigest()}
 
 
-def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
-    """The records of a complete order-n checkpoint, or None to recompute.
-
-    None also when the trailer's count or digest does not match the order
-    and the record lines, or when a record does not parse, has a field of
-    the wrong type or has an order other than n.
-    """
+def _load_lines(path: str, n: int, parse: Callable[[list[str]], list | None]) -> list | None:
+    """``parse`` of the lines of a complete order-n checkpoint, or None to
+    recompute; a file that is there but not used prints a note on stderr."""
     if not os.path.exists(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines or json.loads(lines[-1]) != _trailer(n, lines[:-1]):
-            return None  # incomplete, edited, another order's, or without a digest
-        records = [ExtremalRecord.from_json(ln) for ln in lines[:-1]]
-    except (ValueError, KeyError, TypeError):  # also JSON and UTF-8 decode errors
-        return None
+            *lines, last = fh.read().splitlines()
+        # an incomplete or edited file, another order's or one without a digest fails here
+        if json.loads(last) == _trailer(n, lines) and (parsed := parse(lines)):
+            return parsed
+    except (ValueError, KeyError, TypeError):  # also empty files, JSON and UTF-8 errors
+        pass
+    print(f"note: checkpoint {path} does not check out; recomputing it", file=sys.stderr)
+    return None
+
+
+def _write_lines(path: str, n: int, lines: list[str]) -> None:
+    """Atomically write lines and trailer, via a temporary file no other write shares."""
+    tmp = f"{path}.{os.getpid()}-{next(_writes)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+            fh.write(json.dumps(_trailer(n, lines)) + "\n")
+        os.replace(tmp, path)
+    finally:  # gone after a replace; left behind by a failed write
+        with suppress(OSError):
+            os.remove(tmp)
+
+
+def _records(n: int, lines: list[str]) -> list[ExtremalRecord] | None:
+    """Checkpoint lines as order-n records, or None if a field is wrongly typed."""
+    records = [ExtremalRecord.from_json(ln) for ln in lines]
     # exact types: bool is an int subclass, and 3.0 == 3
     sound = all(type(r.g6) is str and type(r.n) is type(r.z_plus) is type(r.pt_plus) is int
                 and r.n == n for r in records)
@@ -183,12 +202,7 @@ def _load_checkpoint(path: str, n: int) -> list[ExtremalRecord] | None:
 
 
 def _write_checkpoint(path: str, n: int, records: list[ExtremalRecord]) -> None:
-    lines = [rec.to_json() for rec in records]
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
-        fh.write(json.dumps(_trailer(n, lines)) + "\n")
-    os.replace(tmp, path)
+    _write_lines(path, n, [rec.to_json() for rec in records])
 
 
 def _worker_count(jobs: int) -> int:
@@ -211,7 +225,7 @@ def _records_for_orders(
     if checkpoint_dir is not None:  # an unusable directory fails before any work
         os.makedirs(checkpoint_dir, exist_ok=True)
         paths = {n: os.path.join(checkpoint_dir, f"invariants.n{n}.jsonl") for n in paths}
-    tables = {n: _load_checkpoint(path, n) if path else None for n, path in paths.items()}
+    tables = {n: p and _load_lines(p, n, functools.partial(_records, n)) for n, p in paths.items()}
     missing = [n for n, records in tables.items() if records is None]
     with ExitStack() as stack:
         records_of = map
@@ -301,20 +315,38 @@ class NGSearchResult:
     attaining: tuple[str, ...]
 
 
+def _pairing(labels: Iterable[str], lines: list[str]) -> list[list[str]] | None:
+    """Checkpoint lines as [class, complement] pairs, or None unless each label is in one."""
+    pairs = [json.loads(ln) for ln in lines]
+    paired = sorted(lab for p in pairs for lab in dict.fromkeys(p))
+    sound = all(type(p) is list and len(p) == 2 for p in pairs) and paired == sorted(labels)
+    return pairs if sound else None
+
+
 def ng_search(n: int, *, jobs: int = 1, checkpoint_dir: str | None = None) -> NGSearchResult:
     """Exact complement-sum survey of every order-n isomorphism class.
 
     Both terms of each sum come from the order-n invariant table.
     Complementation is an involution on classes, so one canonical label
-    pairs a class with its complement and fills in both sums.
+    pairs a class with its complement and fills in both sums.  With a
+    checkpoint the pairs are read back, so a resumed search labels nothing.
     """
     records = _records_for_orders((n,), jobs, checkpoint_dir)
     pt = {rec.g6: rec.pt_plus for rec in records}
+    path = checkpoint_dir and os.path.join(checkpoint_dir, f"complements.n{n}.jsonl")
+    pairs = path and _load_lines(path, n, functools.partial(_pairing, pt))
+    if not pairs:
+        pairs, paired = [], set()
+        for lab in pt:
+            if lab not in paired:
+                co = canon.canonical_label(complement(parse_graph6(lab)))
+                pairs.append([lab, co])
+                paired.update((lab, co))
+        if path:
+            _write_lines(path, n, [json.dumps(p, separators=(",", ":")) for p in pairs])
     sums: dict[str, int] = {}
-    for lab in pt:
-        if lab not in sums:
-            co = canon.canonical_label(complement(parse_graph6(lab)))
-            sums[lab] = sums[co] = pt[lab] + pt[co]
+    for lab, co in pairs:
+        sums[lab] = sums[co] = pt[lab] + pt[co]
     hist = Counter(sums.values())
     threshold = n // 2 + 2
     attaining = sorted(lab for lab, pt_sum in sums.items() if pt_sum == threshold)

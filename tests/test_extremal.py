@@ -574,3 +574,185 @@ def test_library_jobs_are_clamped_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no Pool
     assert invariant_table(5, jobs=8) == invariant_table(5)
     assert sizes == [3, 3]
+
+
+# ---------------------------------------------------------------------------
+# the complement pairs of ng_search, and the checkpoint writer
+
+
+PAIRS_OF_ORDER_6 = 156 // 2  # no class of order 6 is self-complementary
+
+
+def _sealed(n, lines):
+    # these lines ended by the trailer that matches them, as a checkpoint is written
+    text = "".join(line + "\n" for line in lines)
+    digest = hashlib.sha256(f"{n}\n{text}".encode()).hexdigest()
+    return text + json.dumps({"done": len(lines), "sha256": digest}) + "\n"
+
+
+def _counting_labels(monkeypatch):
+    calls = []
+    real = canon.canonical_label
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(canon, "canonical_label", counting)
+    return calls
+
+
+def test_a_resumed_ng_search_labels_no_complement(tmp_path, monkeypatch, capsys):
+    ck = str(tmp_path)
+    cold = ng_search(6, checkpoint_dir=ck)
+    assert sorted(os.listdir(ck)) == ["complements.n6.jsonl", "invariants.n6.jsonl"]
+    with open(os.path.join(ck, "complements.n6.jsonl"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == _sealed(6, text.splitlines()[:-1])
+    calls = _counting_labels(monkeypatch)
+    assert ng_search(6, checkpoint_dir=ck) == cold == ng_search(6)
+    assert len(calls) == PAIRS_OF_ORDER_6  # the search without a checkpoint
+    calls.clear()
+    assert ng_search(6, checkpoint_dir=ck) == cold
+    assert calls == []
+    assert capsys.readouterr().err == ""  # a missing file and a clean resume are quiet
+
+
+def test_complement_pairs_are_each_class_and_its_complement(tmp_path):
+    ck = str(tmp_path)
+    self_complementary = {}
+    for n in range(1, 7):
+        ng_search(n, checkpoint_dir=ck)
+        with open(os.path.join(ck, f"complements.n{n}.jsonl"), encoding="utf-8") as fh:
+            pairs = [json.loads(line) for line in fh.read().splitlines()[:-1]]
+        labels = [rec.g6 for rec in invariant_table(n) if rec.n == n]
+        # one line per unordered pair, in table order, each class in one line
+        firsts = [a for a, _ in pairs]
+        assert firsts == sorted(firsts, key=labels.index)
+        assert sorted(lab for p in pairs for lab in set(p)) == sorted(labels)
+        for first, second in pairs:
+            assert labels.index(first) <= labels.index(second)
+            assert second == canonical_label(complement(parse_graph6(first)))
+        self_complementary[n] = sum(a == b for a, b in pairs)
+    assert self_complementary == {1: 1, 2: 0, 3: 0, 4: 1, 5: 2, 6: 0}
+
+
+def test_complement_pairs_with_and_without_a_pool(tmp_path, monkeypatch):
+    # jobs=1 and jobs=2 agree, and a fully resumed jobs=2 search opens no
+    # Pool; two CPUs, so jobs=2 is not clamped to one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    starts = []
+    real = multiprocessing.Pool
+
+    def counting(*args, **kwargs):
+        starts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    serial = ng_search(6, checkpoint_dir=str(tmp_path / "serial"))
+    ck = str(tmp_path / "pool")
+    assert ng_search(6, jobs=2, checkpoint_dir=ck) == serial
+    assert len(starts) == 1
+    calls = _counting_labels(monkeypatch)
+    assert ng_search(6, jobs=2, checkpoint_dir=ck) == serial
+    assert len(starts) == 1
+    assert calls == []
+
+
+def _edit_label(lines):
+    first = json.loads(lines[0])
+    first[0] = first[0][:-1] + ("?" if first[0][-1] != "?" else "@")
+    return [json.dumps(first, separators=(",", ":")), *lines[1:-1]]  # digest kept
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda lines, n5: [*_edit_label(lines), lines[-1]],
+    lambda lines, n5: _sealed(6, [*lines[:-1], lines[0]]).splitlines(),
+    lambda lines, n5: _sealed(6, lines[1:-1]).splitlines(),
+    lambda lines, n5: _sealed(6, [lines[0].replace(json.loads(lines[0])[0], "D??"),
+                                  *lines[1:-1]]).splitlines(),
+    lambda lines, n5: n5,
+    lambda lines, n5: lines[:-1],
+    lambda lines, n5: [*lines[:-1], json.dumps({"done": len(lines) - 1})],
+    lambda lines, n5: _sealed(6, ['["A?"]', *lines[1:-1]]).splitlines(),
+], ids=["edited-label", "class-twice", "class-missing", "label-of-order-5", "order-5-file",
+        "no-trailer", "old-trailer", "one-label"])
+def test_a_complements_file_that_is_not_the_pairing_is_recomputed(
+        tmp_path, monkeypatch, capsys, corrupt):
+    # the pairs are labelled again, with one note on stderr, and the file
+    # is rewritten byte for byte
+    ck = str(tmp_path)
+    ng_search(5, checkpoint_dir=ck)
+    cold = ng_search(6, checkpoint_dir=ck)
+    n5, n6 = (tmp_path / f"complements.n{n}.jsonl" for n in (5, 6))
+    right = n6.read_text(encoding="utf-8")
+    lines = corrupt(right.splitlines(), n5.read_text(encoding="utf-8").splitlines())
+    n6.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    calls = _counting_labels(monkeypatch)
+    assert ng_search(6, checkpoint_dir=ck) == cold
+    assert len(calls) == PAIRS_OF_ORDER_6
+    assert n6.read_text(encoding="utf-8") == right
+    assert capsys.readouterr().err == f"note: checkpoint {n6} does not check out; recomputing it\n"
+
+
+def test_an_edited_invariants_byte_prints_one_note(tmp_path, capsys):
+    ck = str(tmp_path)
+    clean = invariant_table(3, checkpoint_dir=ck)
+    path = os.path.join(ck, "invariants.n3.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        right = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(right.replace('"pt+":1', '"pt+":2', 1))
+    assert capsys.readouterr().err == ""
+    assert invariant_table(3, checkpoint_dir=ck) == clean
+    err = capsys.readouterr().err
+    assert err == f"note: checkpoint {path} does not check out; recomputing it\n"
+    assert invariant_table(3, checkpoint_dir=ck) == clean
+    assert capsys.readouterr() == ("", "")
+
+
+def test_two_writers_of_one_checkpoint_both_succeed(tmp_path, monkeypatch):
+    # another run finishes a write of the same path while this one is
+    # between its write and its rename: each moves its own temporary file,
+    # and the file holds the bytes of one write
+    path = str(tmp_path / "invariants.n3.jsonl")
+    records = [rec for rec in invariant_table(3) if rec.n == 3]
+    extremal._write_checkpoint(str(tmp_path / "alone"), 3, records)
+    with open(tmp_path / "alone", encoding="utf-8") as fh:
+        alone = fh.read()
+    os.remove(tmp_path / "alone")
+    real = os.replace
+    moved = []
+
+    def interleaved(src, dst):
+        moved.append(src)
+        if len(moved) == 1:
+            extremal._write_checkpoint(path, 3, records)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaved)
+    extremal._write_checkpoint(path, 3, records)
+    assert len(set(moved)) == 2
+    assert os.listdir(tmp_path) == ["invariants.n3.jsonl"]
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == alone
+
+
+def test_a_failed_checkpoint_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        ng_search(3, checkpoint_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_checkpoint_with_no_records_is_recomputed(tmp_path, capsys):
+    # every order has a class, so a sealed file without records is not a table
+    ck = str(tmp_path)
+    extremal._write_checkpoint(os.path.join(ck, "invariants.n3.jsonl"), 3, [])
+    assert invariant_table(3, checkpoint_dir=ck) == invariant_table(3)
+    assert capsys.readouterr().err.startswith("note: checkpoint ")
+    assert ng_search(3, checkpoint_dir=ck) == ng_search(3)
