@@ -152,15 +152,8 @@ def _canonical_search(g: Graph) -> tuple[list[list[int]], list[int]]:
 
 
 def canonical_form(g: Graph) -> Graph:
-    """A canonical isomorph of g (same graph for all relabelings of g)."""
-    perm = _canonical_search(g)[0][0]
-    rows = [0] * g.n
-    for i, v in enumerate(perm):
-        av = g.adj[v]
-        for jj, w in enumerate(perm):
-            if av >> w & 1:
-                rows[i] |= 1 << jj
-    return Graph._from_rows(rows)
+    """A canonical isomorph of g: g relabeled by its search's first leaf."""
+    return parse_graph6(canonical_label(g))
 
 
 def canonical_label(g: Graph) -> str:

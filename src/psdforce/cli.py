@@ -11,6 +11,7 @@ rejected command line, and 3 an internal consistency failure (a bug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -24,6 +25,7 @@ from .engine import (
     CapExceededError,
     ConsistencyError,
     NoForcingSetError,
+    _halving_bound,
     component_pt,
     is_psd_forcing_set,
     propagate,
@@ -273,7 +275,7 @@ def cmd_migrate(args, algorithm: int) -> int:
             f"blue set {_vset_str(blue)} is not a PSD forcing set of {label}: "
             f"propagation stalls with white {_vset_str(residual)}"
         )
-    bound = (g.n - blue.bit_count() + 1) // 2  # ceil((n-k)/2)
+    bound = _halving_bound(g.n, blue.bit_count())
     loop = shrink_max_component if algorithm == 1 else balance_propagation
     final, trace = loop(g, blue)
     per_comp = component_pt(g, final)
@@ -316,8 +318,7 @@ def cmd_extremal(args) -> int:
     t0 = time.monotonic()
     if args.k is not None:
         records = _survey(args, classify_extremal, args.k)
-        _emit(args, [{"g6": r.g6, "n": r.n, "z+": r.z_plus, "pt+": r.pt_plus}
-                     for r in records], ["g6", "n", "z+", "pt+"])
+        _emit(args, [r.doc() for r in records], ["g6", "n", "z+", "pt+"])
         _note(f"extremal k={args.k}: {len(records)} graphs "
               f"in {time.monotonic() - t0:.2f}s")
         return 0
@@ -332,16 +333,8 @@ def cmd_extremal(args) -> int:
 def cmd_ng(args) -> int:
     t0 = time.monotonic()
     res = _survey(args, ng_search, args.n)
-    doc = {
-        "n": res.n,
-        "histogram": {str(s): c for s, c in res.histogram.items()},
-        "max_sum": res.max_sum,
-        "threshold": res.threshold,
-        "attained": res.attained,
-        "attaining": list(res.attaining),
-    }
     verdict = "attained" if res.attained else "not attained"
-    _print(args, [_jline(doc)], [
+    _print(args, [_jline(dataclasses.asdict(res))], [
         f"order {res.n}: pt+ sum histogram",
         *(f"sum {s}: {c}" for s, c in res.histogram.items()),
         f"threshold {res.threshold} {verdict}"
@@ -358,7 +351,7 @@ def cmd_verify_bounds(args) -> int:
         tight = []
         for k in range(z, g.n + 1):
             pt, _ = pt_plus_k(g, k, max_subsets=args.max_subsets)
-            bound = (g.n - k + 1) // 2
+            bound = _halving_bound(g.n, k)
             if pt > bound:
                 bad.append(k)
             elif pt == bound and pt > 0:

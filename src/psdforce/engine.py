@@ -651,6 +651,11 @@ def pt_plus_k(
     return got
 
 
+def _halving_bound(n: int, k: int) -> int:
+    """The paper's bound pt+(G, k) <= ceil((n - k)/2)."""
+    return (n - k + 1) // 2
+
+
 def pt_plus(
     g: Graph, *, max_subsets: int | None = None
 ) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 from . import canon
 from .canon import enumerate_graphs
-from .engine import ConsistencyError, _budgeted_scans, _z_and_pt
+from .engine import ConsistencyError, _budgeted_scans, _halving_bound, _z_and_pt
 from .graph import Graph, complement, parse_graph6, write_graph6
 
 __all__ = [
@@ -48,9 +48,12 @@ class ExtremalRecord:
     z_plus: int
     pt_plus: int
 
+    def doc(self) -> dict:
+        """The JSON object of this record."""
+        return {"g6": self.g6, "n": self.n, "z+": self.z_plus, "pt+": self.pt_plus}
+
     def to_json(self) -> str:
-        doc = {"g6": self.g6, "n": self.n, "z+": self.z_plus, "pt+": self.pt_plus}
-        return json.dumps(doc, separators=(",", ":"))
+        return json.dumps(self.doc(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "ExtremalRecord":
@@ -72,7 +75,7 @@ def throttling_number(
 ) -> tuple[int, int, int]:
     """min over k of k + best time at size k; returns (value, best_k, witness).
 
-    Ties go to the least k.  The value never exceeds ceil((n + Z)/2)
+    Ties go to the least k.  The value never exceeds Z + ceil((n - Z)/2)
     (asserted).  Every size scanned is charged to one ``max_subsets``
     budget.  Since k + pt >= k, the sizes stop once k reaches the best
     k + pt so far: the next size is neither charged nor scanned.
@@ -90,7 +93,7 @@ def throttling_number(
             best = (k + pt, k, witness)
     if best is None or z is None:
         raise ConsistencyError("no size up to n forces, but the full vertex set always does")
-    bound = (g.n + z + 1) // 2  # ceil((n+Z)/2)
+    bound = z + _halving_bound(g.n, z)
     if best[0] > bound:
         raise ConsistencyError(f"throttling {best[0]} above bound {bound}")
     return best
@@ -293,7 +296,7 @@ def zeta(
         raise ValueError(f"no graph of order {n} has forcing number {k}")
     best = max(rec.pt_plus for rec in at_k)
     witnesses = [rec.g6 for rec in at_k if rec.pt_plus == best]
-    if best > (n - k + 1) // 2:
+    if best > _halving_bound(n, k):
         raise ConsistencyError(f"zeta({n}, {k}) = {best}, above the bound ceil((n-k)/2)")
     return best, witnesses
 

@@ -54,6 +54,7 @@ from .engine import (
     NotForcingError,
     _SET_TIME_MEMO_SIZE,
     _forces,
+    _halving_bound,
     _least_id_forces,
     _set_time,
     component_pt,
@@ -275,7 +276,7 @@ def shrink_max_component(
     """
     cur = as_mask(g, blue)
     _require_forcing(g, cur)
-    bound = (g.n - cur.bit_count() + 1) // 2  # ceil((n-k)/2)
+    bound = _halving_bound(g.n, cur.bit_count())
     steps: list[MigrationStep] = []
     comps = components(g, cur)
     while comps:
@@ -325,7 +326,7 @@ def balance_propagation(
             )
         steps.append(step)
         cur, pt = step.after, new_pt
-    bound = (g.n - k + 1) // 2  # ceil((n-k)/2)
+    bound = _halving_bound(g.n, k)
     if pt > bound:
         raise ConsistencyError(
             f"balanced set has time {pt}, above the halving bound {bound}"

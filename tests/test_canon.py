@@ -19,7 +19,7 @@ from psdforce import (
 from psdforce.canon import canonical_form
 from psdforce.families import complete, cycle, path
 
-from _oracles import ref_isomorphic
+from _oracles import ref_graph6, ref_isomorphic
 
 
 def _relabel(g, perm):
@@ -149,6 +149,24 @@ def test_label_is_graph6_of_canonical_form(classes_by_order):
             graphs.append(_relabel(g, perm))
     for g in graphs:
         assert canonical_label(g) == write_graph6(canonical_form(g))
+
+
+def test_label_is_reference_graph6_of_every_tied_leaf(classes_by_order):
+    # the label is packed from the search's columns; the reference encodes g
+    # relabeled by each leaf from the format's definition, sharing no code
+    graphs = _classes_up_to_7(classes_by_order)
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(8, 10)
+        g = Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(_relabel(g, perm))
+    for g in graphs:
+        label = canonical_label(g)
+        for leaf in canon._canonical_search(g)[0]:
+            pos = {v: i for i, v in enumerate(leaf)}
+            assert ref_graph6(g.n, [(pos[u], pos[v]) for u, v in g.edges()]) == label
 
 
 # An asymmetric graph of order 6: the path 0-1-2-3-4 plus vertex 5 on 2 and 3.

@@ -476,6 +476,26 @@ def test_verify_bounds_table(capsys):
     assert "0 violation(s), 0 skipped" in err
 
 
+def test_verify_bounds_reports_a_violation(capsys, monkeypatch):
+    real = cli.pt_plus_k
+
+    def late_at_1(g, k, **kw):
+        pt, witness = real(g, k, **kw)
+        return pt + 9 * (k == 1), witness
+
+    monkeypatch.setattr(cli, "pt_plus_k", late_at_1)
+    code, out, err = run(capsys, "verify-bounds", "--family", "path:6")
+    assert code == 1
+    assert out == (
+        "g6    n  z+  violations  tight\n"
+        "EhCG  6  1   1           4,5\n"
+    )
+    assert err == "verify-bounds: 1 graph(s), 1 violation(s), 0 skipped\n"
+    code, out, _ = run(capsys, "verify-bounds", "--family", "path:6", "--json")
+    assert code == 1
+    assert out == '{"g6":"EhCG","n":6,"z+":1,"violations":[1],"tight":[4,5]}\n'
+
+
 def test_compute_budget_applies_without_throttle(capsys):
     code, out, err = run(capsys, "compute", "--family", "path:5", "--max-subsets", "1")
     assert code == 1
@@ -596,6 +616,12 @@ def test_blue_parse_errors(capsys):
     assert code == 1 and "unknown vertex 'nope'" in err and "b1" in err
 
 
+def test_blue_skips_empty_tokens(capsys):
+    got = run(capsys, "simulate", "--family", "path:4", "--blue", "0,,3")
+    assert got == run(capsys, "simulate", "--family", "path:4", "--blue", "0,3")
+    assert got[0] == 0
+
+
 def test_blue_rejects_non_decimal_digits(capsys):
     # '\u00b2' passes str.isdigit but is no base-10 vertex id
     code, _, err = run(capsys, "simulate", "--family", "path:3", "--blue", "\u00b2")
@@ -613,6 +639,7 @@ USER_ERRORS = [
      "this command needs exactly one graph, got 2"),
     (["extremal", "--zeta", "3", "5"], "need 1 <= k <= n, got k=5, n=3"),
     (["compute", "--family", "lollipop:4"], "family 'lollipop' takes two parameters m,r"),
+    (["family", "--family", "h:1,2"], "family 'h' takes one parameter k"),
     (["family", "--family", "empty:258048"],
      "graph order 258048 beyond graph6 range (at most 258047)"),
     # the checkpoint directory is made before the first order is computed
@@ -628,7 +655,7 @@ USER_ERRORS = [
 @pytest.mark.parametrize(
     "argv,message", USER_ERRORS,
     ids=["unopenable-file", "unknown-family", "two-graphs", "zeta-k-above-n",
-         "family-arity", "past-graph6-order", "checkpoint-is-a-file",
+         "family-arity", "h-family-arity", "past-graph6-order", "checkpoint-is-a-file",
          "checkpoint-under-a-file", "catalog-k-above-4", "ng-n-above-8"],
 )
 def test_input_errors_end_in_one_line(capsys, tmp_path, argv, message):

@@ -30,6 +30,10 @@ def test_graph_validation():
     assert g.num_edges == 1
 
 
+def test_repr_lists_the_edges():
+    assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, edges=[(0, 1)])"
+
+
 def test_basic_accessors():
     g = path(4)
     assert g.n == 4
