@@ -77,7 +77,7 @@ def _add_io(p: argparse.ArgumentParser, *, families_only: bool = False) -> None:
             "--file", metavar="PATH", help="file of graph6 lines ('-' for stdin)"
         )
     src.add_argument("--family", metavar="SPEC", help="family spec, e.g. path:5 or lollipop:6,5")
-    src.add_argument("--fixture", choices=sorted(FIXTURES), help="named example graph")
+    src.add_argument("--fixture", dest="family", choices=sorted(FIXTURES), help="named example graph")
     p.add_argument("--json", action="store_true", help="JSON lines instead of text")
 
 
@@ -124,24 +124,18 @@ def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:
         except Graph6Error as e:
             raise CliError(f"--g6: {e}") from None
     if getattr(args, "file", None) is not None:
-        if args.file == "-":
-            lines = sys.stdin.readlines()
-        else:
-            try:
-                with open(args.file, encoding="ascii") as f:
-                    lines = f.readlines()
-            except OSError as e:
-                raise CliError(str(e)) from None
-            except UnicodeDecodeError as e:
-                raise CliError(f"{args.file}: {e}") from None
+        stdin = args.file == "-"
         try:
-            return [
-                (write_graph6(g), g, {}) for _, g in read_graph6_lines(lines)
-            ]
-        except Graph6Error as e:
+            with open(0 if stdin else args.file, encoding="ascii", closefd=not stdin) as f:
+                lines = f.readlines()
+            # parse_graph6 accepts only the text write_graph6 writes back
+            return [(lines[i - 1].strip(), g, {}) for i, g in read_graph6_lines(lines)]
+        except OSError as e:
+            raise CliError(str(e)) from None
+        except ValueError as e:  # UnicodeDecodeError or Graph6Error
             raise CliError(f"{args.file}: {e}") from None
-    try:  # make_family also builds the fixtures by name
-        g, names = make_family(args.family if args.family is not None else args.fixture)
+    try:  # --fixture stores its name in args.family too
+        g, names = make_family(args.family)
         return [(write_graph6(g), g, dict(names))]
     except ValueError as e:
         raise CliError(str(e)) from None

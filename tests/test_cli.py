@@ -1,6 +1,6 @@
 """End-to-end command line behavior: output bytes and exit codes."""
 
-import io
+import contextlib
 import json
 import os
 import shlex
@@ -12,6 +12,7 @@ import pytest
 
 from psdforce import cli, engine, extremal
 from psdforce.cli import build_parser, main
+from psdforce.families import path
 from psdforce.graph import write_graph6
 from psdforce.migration import ConsistencyError
 
@@ -95,17 +96,70 @@ def test_compute_cap_skips(capsys):
     assert "skipped" in err
 
 
-def test_compute_file_and_stdin(capsys, tmp_path, monkeypatch):
+@contextlib.contextmanager
+def _descriptor_0(data: bytes | None):
+    """Descriptor 0 reads ``data`` inside the block (is closed for None)."""
+    saved = os.dup(0)
+    try:
+        if data is None:
+            os.close(0)
+        else:
+            r, w = os.pipe()
+            os.write(w, data)
+            os.close(w)
+            os.dup2(r, 0)
+            os.close(r)
+        yield
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+
+
+def test_compute_file_and_stdin(capsys, tmp_path):
     corpus = tmp_path / "graphs.g6"
     corpus.write_text("# two graphs\nDhC\n\nCh\n", encoding="ascii")
     code, out, _ = run(capsys, "compute", "--file", str(corpus), "--json")
     assert code == 0
     assert [json.loads(ln)["g6"] for ln in out.splitlines()] == ["DhC", "Ch"]
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO("DhC\n"))
-    code, out2, _ = run(capsys, "compute", "--file", "-", "--json")
+    with _descriptor_0(b"DhC\n"):
+        code, out2, _ = run(capsys, "compute", "--file", "-", "--json")
     assert code == 0
     assert out2 == out.splitlines()[0] + "\n"
+
+
+@pytest.mark.parametrize("data,err", [
+    (b"\xff\n", "-: 'ascii' codec can't decode byte 0xff in position 0: ordinal not in range(128)"),
+    (None, "[Errno 9] Bad file descriptor"),
+], ids=["not-ascii", "closed"])
+def test_bad_stdin_is_a_one_line_error(capsys, data, err):
+    with _descriptor_0(data):
+        assert run(capsys, "compute", "--file", "-") == (1, "", f"error: {err}\n")
+
+
+def test_stdin_splits_lines_as_a_file_does(capsys, tmp_path):
+    corpus = tmp_path / "cr.g6"
+    corpus.write_bytes(b"DhC\rCh\n")
+    from_file = run(capsys, "compute", "--file", str(corpus))
+    with _descriptor_0(corpus.read_bytes()):
+        assert run(capsys, "compute", "--file", "-") == from_file
+    assert from_file[0] == 0 and len(from_file[1].splitlines()) == 3
+
+
+def test_file_label_is_the_input_text(capsys, tmp_path, monkeypatch):
+    # parse_graph6 accepts only the text write_graph6 writes back, so the
+    # CLI encodes no graph it read
+    big = write_graph6(path(63))
+    corpus = tmp_path / "graphs.g6"
+    corpus.write_bytes(b" DhC \r\n" + big.encode() + b"\n")
+
+    def refuse(g):
+        raise AssertionError("write_graph6 called on an input graph")
+
+    monkeypatch.setattr(cli, "write_graph6", refuse)
+    code, out, _ = run(capsys, "compute", "--file", str(corpus), "--json")
+    assert code == 0
+    assert [json.loads(ln)["g6"] for ln in out.splitlines()] == ["DhC", big]
 
 
 def test_compute_file_reports_bad_line(capsys, tmp_path):

@@ -377,6 +377,54 @@ def test_engine_matches_reference_above_the_fort_table_orders():
 
 
 # ---------------------------------------------------------------------------
+# relations that need no oracle
+
+
+def _seeded_graph(rng, n, density):
+    return Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < density])
+
+
+def test_one_more_blue_vertex_never_slows_the_best_time():
+    """pt+(G, k + 1) <= pt+(G, k) for Z+ <= k < n.
+
+    Proof: let B be a blue set and B' ⊇ B.  Each white component of G - B'
+    lies inside one of G - B, so when u forces w from B and w is still white
+    under B', u is blue under B' and its white neighbours in w's component
+    of G - B' are among those in the larger one: only w, so u forces w from
+    B' too.  By induction on rounds, after each round the blue set grown
+    from B' contains the one grown from B.  A size-k set of time pt+(G, k)
+    plus any other vertex is then a size-(k + 1) set of no larger time.
+    """
+    rng = random.Random(20261021)
+    for density in (0.15, 0.3, 0.5, 0.7):
+        for _ in range(12):
+            g = _seeded_graph(rng, rng.randint(10, 16), density)
+            z, _ = psd_zero_forcing_number(g)
+            times = [pt_plus_k(g, k)[0] for k in range(z, g.n + 1)]
+            assert times == sorted(times, reverse=True), g
+
+
+def test_disjoint_union_adds_z_and_takes_the_larger_time():
+    """Z+(G ⊔ H) = Z+(G) + Z+(H) and pt+(G ⊔ H) = max(pt+(G), pt+(H)).
+
+    Proof: no edge joins the two sides, so every white component of
+    G ⊔ H - S lies in one side and every forcer's neighbours in its own:
+    each round acts on the sides independently.  S forces G ⊔ H in t rounds
+    if and only if S ∩ V(G) forces G in t_G rounds and S ∩ V(H) forces H in
+    t_H rounds, with t = max(t_G, t_H).  So the least S is a least set of
+    each side, and the two sides' times are chosen independently.
+    """
+    rng = random.Random(20261022)
+    for _ in range(100):
+        g, h = (_seeded_graph(rng, rng.randint(4, 8), rng.choice((0.2, 0.4, 0.6)))
+                for _ in range(2))
+        union = Graph(g.n + h.n, [*g.edges(), *((u + g.n, v + g.n) for u, v in h.edges())])
+        (z_g, _), (z_h, _), (z_u, _) = map(psd_zero_forcing_number, (g, h, union))
+        assert z_u == z_g + z_h
+        assert pt_plus(union)[0] == max(pt_plus(g)[0], pt_plus(h)[0])
+
+
+# ---------------------------------------------------------------------------
 # the value-keyed memos
 
 
