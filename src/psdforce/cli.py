@@ -4,8 +4,9 @@ Subcommands: compute, simulate, migrate1, migrate2, family, extremal, ng,
 verify-bounds.  Data goes to stdout and is byte-deterministic for fixed
 input and flags; timings, warnings, and other run metadata go to stderr.
 Exit status is 0 only if every requested computation completed and every
-checked postcondition held; 1 is a user error or a failed check, 2 a
-rejected command line, and 3 an internal consistency failure (a bug).
+checked postcondition held; 1 is a user error, a failed check or a stdout
+closed before all output was written, 2 a rejected command line, and 3 an
+internal consistency failure (a bug).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -33,7 +35,7 @@ from .engine import (
     pt_plus,
     pt_plus_k,
 )
-from .extremal import _worker_count, classify_extremal, ng_search, throttling_number, zeta
+from .extremal import classify_extremal, ng_search, throttling_number, zeta
 from .families import FIXTURES, make_family
 # components is unused, but perfbench/tracing.py MANIFEST lists cli as an importer
 from .graph import (
@@ -111,8 +113,8 @@ def _budget(text: str) -> int:
 
 
 def _job_count(text: str) -> int:
-    """--jobs value: at least 1, at most the number of CPUs."""
-    return _worker_count(_int_at_least(text, 1))
+    """--jobs value: at least 1; the library clamps it to the CPU count."""
+    return _int_at_least(text, 1)
 
 
 def _load_inputs(args) -> list[tuple[str, Graph, dict[str, int]]]:
@@ -432,7 +434,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit status; callable repeatedly."""
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a write the buffer held back fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop quietly
+        # the interpreter flushes stdout at exit; point it at devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, NoForcingSetError) as e:
         _note(f"error: {e}")
         return 1

@@ -105,37 +105,21 @@ def throttling_number(
 
 @dataclass(frozen=True, slots=True)
 class NGSums:
-    """Graph-plus-complement sums with bound-tightness flags.
+    """Graph-plus-complement sums.
 
     For order n >= 2: n-2 <= z_sum <= 2n-1 and 1 <= pt_sum <= n/2 + 2 (order
-    1 sums to pt 0, z 2).  The pt upper flag marks pt_sum == n/2 + 2 exactly
-    (so only even orders can set it).
+    1 sums to pt 0, z 2).  ``ng_search`` says whether a sum reaches the bound.
     """
 
     n: int
     pt_sum: int
     z_sum: int
-    pt_at_lower: bool
-    pt_at_upper: bool
-    z_at_lower: bool
-    z_at_upper: bool
 
 
 def ng_sums(g: Graph) -> NGSums:
     z_g, pt_g, _ = _z_and_pt(g)
     z_c, pt_c, _ = _z_and_pt(complement(g))
-    pt_sum = pt_g + pt_c
-    z_sum = z_g + z_c
-    n = g.n
-    return NGSums(
-        n=n,
-        pt_sum=pt_sum,
-        z_sum=z_sum,
-        pt_at_lower=pt_sum == 1,
-        pt_at_upper=2 * pt_sum == n + 4,
-        z_at_lower=z_sum == n - 2,
-        z_at_upper=z_sum == 2 * n - 1,
-    )
+    return NGSums(n=g.n, pt_sum=pt_g + pt_c, z_sum=z_g + z_c)
 
 
 def ng_pt_sum(g: Graph) -> int:
@@ -204,15 +188,6 @@ def _records(n: int, lines: list[str]) -> list[ExtremalRecord] | None:
     return records if sound else None
 
 
-def _write_checkpoint(path: str, n: int, records: list[ExtremalRecord]) -> None:
-    _write_lines(path, n, [rec.to_json() for rec in records])
-
-
-def _worker_count(jobs: int) -> int:
-    """``jobs`` clamped to the number of CPUs, so no caller forks more."""
-    return min(jobs, os.cpu_count() or 1)
-
-
 def _records_for_orders(
     orders: Iterable[int], jobs: int = 1, checkpoint_dir: str | None = None
 ) -> list[ExtremalRecord]:
@@ -232,7 +207,7 @@ def _records_for_orders(
     missing = [n for n, records in tables.items() if records is None]
     with ExitStack() as stack:
         records_of = map
-        jobs = _worker_count(jobs)
+        jobs = min(jobs, os.cpu_count() or 1)
         if jobs > 1 and missing:
             import multiprocessing  # loaded only by a search that fans out
             pool = stack.enter_context(multiprocessing.Pool(jobs))
@@ -241,7 +216,7 @@ def _records_for_orders(
         for n in missing:
             tables[n] = list(records_of(graph_record, enumerate_graphs(n)))
             if paths[n] is not None:
-                _write_checkpoint(paths[n], n, tables[n])
+                _write_lines(paths[n], n, [rec.to_json() for rec in tables[n]])
     return [rec for records in tables.values() for rec in records]
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -418,6 +419,23 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_a_closed_stdout_ends_quietly():
+    # the reader closes the pipe before reading: the 750 KB line, larger
+    # than any pipe buffer, cannot be written, and the command exits 1
+    # with nothing on stderr, not a BrokenPipeError traceback
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "psdforce.cli", "family", "--family", "empty:3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_family_json(capsys):
     code, out, _ = run(capsys, "family", "--family", "lollipop:4,2", "--json")
     assert code == 0
@@ -506,18 +524,38 @@ def test_checkpointed_zeta_ignores_an_edited_value(capsys, tmp_path):
 
 
 def test_jobs_rejected_below_one_and_clamped(capsys, monkeypatch):
-    # parsing fails or clamps before any worker pool could start
+    # parsing rejects a count below 1 before any worker pool could start
     for cmd in (["extremal", "--k", "1"], ["ng", "--n", "3"]):
         for bad in ("0", "-2", "two"):
             with pytest.raises(SystemExit) as exc:
                 main(cmd + ["--jobs", bad])
             assert exc.value.code == 2
             assert "--jobs" in capsys.readouterr().err
+    assert build_parser().parse_args(["ng", "--n", "3", "--jobs", "64"]).jobs == 64
+    # the library clamps: a stand-in Pool records its size and starts no process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    serial = run(capsys, "ng", "--n", "3")[:2]
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert build_parser().parse_args(["ng", "--n", "3", "--jobs", "64"]).jobs == 3
-    assert build_parser().parse_args(["extremal", "--k", "1", "--jobs", "2"]).jobs == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert build_parser().parse_args(["ng", "--n", "3", "--jobs", "8"]).jobs == 1
+    assert run(capsys, "ng", "--n", "3", "--jobs", "64")[:2] == serial
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no Pool
+    assert run(capsys, "ng", "--n", "3", "--jobs", "64")[:2] == serial
+    assert sizes == [3]
 
 
 def test_verify_bounds_table(capsys):

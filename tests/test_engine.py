@@ -29,7 +29,7 @@ from psdforce import (
 from psdforce import engine
 from psdforce.extremal import throttling_number
 from psdforce.families import complete, cycle, empty_graph, path
-from psdforce.graph import Graph
+from psdforce.graph import Graph, induced_subgraph
 
 from _oracles import ref_components, ref_first_forces, ref_pt, ref_z_and_pt
 
@@ -422,6 +422,74 @@ def test_disjoint_union_adds_z_and_takes_the_larger_time():
         (z_g, _), (z_h, _), (z_u, _) = map(psd_zero_forcing_number, (g, h, union))
         assert z_u == z_g + z_h
         assert pt_plus(union)[0] == max(pt_plus(g)[0], pt_plus(h)[0])
+
+
+def _sparse_graph(rng, n):
+    # a random tree plus 1-3 chords: Z+ stays small at orders past the forcing table
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    size = n - 1 + rng.randint(1, 3)
+    while len(edges) < size:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, edges)
+
+
+def _relation_sample(seed):
+    """Seeded graphs of orders 10..16 at four densities, then four sparse
+    graphs of orders 17-18, which the scan without a forcing table serves."""
+    assert engine._FORT_MAX_N < 17
+    rng = random.Random(seed)
+    for density in (0.15, 0.3, 0.5, 0.7):
+        for _ in range(4):
+            yield _seeded_graph(rng, rng.randint(10, 16), density)
+    for n in (17, 17, 18, 18):
+        yield _sparse_graph(rng, n)
+
+
+def test_deleting_a_vertex_lowers_z_by_at_most_one():
+    """Z+(G) <= Z+(G - v) + 1 for every vertex v.
+
+    Proof: let S force G - v and B = S ∪ {v}.  The white vertices of G
+    under B are those of G - v under S, in the same components, since v is
+    blue.  A forcer u of G - v keeps its white neighbours in G (v is blue),
+    so every force of G - v applies in G.  A larger blue set never loses a
+    force (the proof of ``test_one_more_blue_vertex_never_slows_the_best_time``),
+    so by induction on rounds the blue set grown from B contains v and the
+    one grown from S.  So B forces G, and a least S gives a forcing set of G
+    of size Z+(G - v) + 1.
+    """
+    for g in _relation_sample(20261023):
+        z, _ = psd_zero_forcing_number(g)
+        for v in range(g.n):
+            h, remap = induced_subgraph(g, g.full_mask & ~(1 << v))
+            z_h, witness = psd_zero_forcing_number(h)
+            assert z <= z_h + 1, (g, v)
+            old = {i: u for u, i in remap.items()}
+            assert is_psd_forcing_set(g, [v, *(old[i] for i in vlist(witness))]), (g, v)
+
+
+def test_relabelling_keeps_z_and_pt_and_moves_the_witness():
+    """(Z+, pt+) is invariant under relabelling, and the relabelled witness
+    forces the relabelled graph in pt+ rounds.
+
+    Proof: a bijection p of the vertices maps edges to edges and white
+    components to white components, so u forces w from B exactly when p(u)
+    forces p(w) from p(B).  Round by round, the run from p(B) is the image
+    of the run from B: both force in the same number of rounds, or both
+    stall.  Sizes and times of forcing sets are therefore kept, and so are
+    their least values.  The relabelled graph is another value, so no memo
+    keyed by the first graph can answer for it.
+    """
+    rng = random.Random(20261024)
+    for g in _relation_sample(20261025):
+        p = list(range(g.n))
+        rng.shuffle(p)
+        h = Graph(g.n, [(p[u], p[v]) for u, v in g.edges()])
+        assert h != g
+        z, _ = psd_zero_forcing_number(g)
+        pt, witness = pt_plus(g)
+        assert psd_zero_forcing_number(h)[0] == z
+        assert pt_plus(h)[0] == pt
+        assert ref_pt(_adj(h), h.n, [p[v] for v in vlist(witness)]) == pt
 
 
 # ---------------------------------------------------------------------------
